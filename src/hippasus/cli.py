@@ -24,24 +24,20 @@ _DEFAULT_BOUNDS = {
 }
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
-    return value
+def _int_at_least(minimum: int):
+    """argparse type: an integer >= minimum (0 or 1)."""
+    expected = "a positive integer" if minimum else "a non-negative integer"
 
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {value}")
+        return value
 
-def _nonneg_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {value}")
-    return value
+    return parse
 
 
 def _cmd_fib(args: argparse.Namespace) -> int:
@@ -200,40 +196,40 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("fib", help="print F(i) under the 1,1-start indexing")
-    p.add_argument("i", type=_nonneg_int)
+    p.add_argument("i", type=_int_at_least(0))
     p.set_defaults(func=_cmd_fib)
 
     p = sub.add_parser("table", help="emit the Hippasus pair table for beta <= max-beta")
-    p.add_argument("--max-beta", type=_positive_int, required=True)
+    p.add_argument("--max-beta", type=_int_at_least(1), required=True)
     p.add_argument("--format", choices=table.FORMATS, default="aligned")
     p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser("check", help="report Hippasus status, successors and descent")
-    p.add_argument("beta", type=_positive_int)
+    p.add_argument("beta", type=_int_at_least(1))
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("descent", help="print the subtractive descent trace")
-    p.add_argument("beta", type=_positive_int)
+    p.add_argument("beta", type=_int_at_least(1))
     p.set_defaults(func=_cmd_descent)
 
     p = sub.add_parser("wasteels", help="test whether x, y are consecutive Fibonacci numbers")
-    p.add_argument("x", type=_positive_int)
-    p.add_argument("y", type=_positive_int)
+    p.add_argument("x", type=_int_at_least(1))
+    p.add_argument("y", type=_int_at_least(1))
     p.set_defaults(func=_cmd_wasteels)
 
     p = sub.add_parser("octagon", help="octagon geometry at index n with limit deviations")
-    p.add_argument("--n", type=_nonneg_int, required=True)
-    p.add_argument("--digits", type=_positive_int, default=50)
+    p.add_argument("--n", type=_int_at_least(0), required=True)
+    p.add_argument("--digits", type=_int_at_least(1), default=50)
     p.set_defaults(func=_cmd_octagon)
 
     p = sub.add_parser("phi-convergence", help="quotients F(n+1)/F(n) and their distance to phi")
-    p.add_argument("--n-max", type=_positive_int, required=True)
-    p.add_argument("--digits", type=_positive_int, default=50)
+    p.add_argument("--n-max", type=_int_at_least(1), required=True)
+    p.add_argument("--digits", type=_int_at_least(1), default=50)
     p.set_defaults(func=_cmd_phi_convergence)
 
     p = sub.add_parser("verify", help="run an exhaustive range check")
     p.add_argument("suite", choices=VERIFY_SUITES)
-    p.add_argument("--bound", type=_positive_int, default=None)
+    p.add_argument("--bound", type=_int_at_least(1), default=None)
     p.set_defaults(func=_cmd_verify)
 
     return parser

@@ -23,8 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt
 
-import numpy as np
-
 from .fibonacci import fib
 
 
@@ -128,26 +126,11 @@ class DescentTrace:
             )
 
 
-def _successors_by_scan(beta: int) -> tuple[int, ...]:
-    # Reference implementation: test every alpha the window bounds allow.
-    # For beta = 1 only alpha in {1, 2} can work (1*(1+n) - n^2 <= -5 for n > 2);
-    # for beta >= 2 the window is the closed interval [beta+1, 2*beta-1].
-    if beta == 1:
-        candidates = (1, 2)
-    else:
-        candidates = range(beta + 1, 2 * beta)
-    return tuple(
-        alpha
-        for alpha in candidates
-        if beta * (beta + alpha) - alpha * alpha in (1, -1)
-    )
-
-
 def _successors_closed_form(beta: int) -> tuple[int, ...]:
     # alpha solves alpha^2 - beta*alpha - beta^2 = -/+1, so
     # alpha = (beta + sqrt(5*beta^2 -/+ 4)) / 2 -- integral iff the
     # discriminant is a perfect square of parity matching beta.
-    # Differentially tested against _successors_by_scan.
+    # Differentially tested against the window scan in tests/.
     b5 = 5 * beta * beta
     found = []
     for disc in (b5 - 4, b5 + 4):
@@ -167,9 +150,6 @@ def successors(beta: int) -> SuccessorSet:
     """
     if beta < 1:
         raise ValueError(f"beta must be >= 1, got {beta}")
-    if beta == 1:
-        # only 1 and 2 can work: 1*(1+n) - n^2 <= -5 for every n > 2
-        return SuccessorSet(1, tuple(a for a in (1, 2) if 1 * (1 + a) - a * a in (1, -1)))
     return SuccessorSet(beta, _successors_closed_form(beta))
 
 
@@ -234,24 +214,20 @@ def is_fibonacci_by_descent(beta: int) -> bool:
     return descend(beta) is not None
 
 
-# numpy chunks keep the exhaustive scan fast; int64 is exact while
-# beta*(beta+alpha) <= 2**62, far above any practical bound here.
-_INT64_SAFE_BETA = isqrt(2**62 // 3)
-
-
 def find_exact_solution(max_beta: int) -> tuple[int, int] | None:
     """Smallest (beta, alpha) with beta <= max_beta, beta <= alpha <= 2*beta
     and beta*(beta+alpha) == alpha**2, or None when no such pair exists."""
     if max_beta < 1:
         raise ValueError(f"max_beta must be >= 1, got {max_beta}")
-    for beta in range(1, min(max_beta, _INT64_SAFE_BETA) + 1):
-        alpha = np.arange(beta, 2 * beta + 1, dtype=np.int64)
-        hits = np.nonzero(beta * (beta + alpha) == alpha * alpha)[0]
-        if hits.size:
-            return beta, int(alpha[hits[0]])
-    for beta in range(_INT64_SAFE_BETA + 1, max_beta + 1):
-        for alpha in range(beta, 2 * beta + 1):
-            if beta * (beta + alpha) == alpha * alpha:
+    # The only positive root is alpha = (beta + sqrt(5*beta^2)) / 2, integral
+    # iff 5*beta^2 is a perfect square whose root has beta's parity.
+    # Differentially tested against the window scan in tests/.
+    for beta in range(1, max_beta + 1):
+        disc = 5 * beta * beta
+        root = isqrt(disc)
+        if root * root == disc and (beta + root) % 2 == 0:
+            alpha = (beta + root) // 2
+            if beta <= alpha <= 2 * beta and beta * (beta + alpha) == alpha * alpha:
                 return beta, alpha
     return None
 

@@ -41,11 +41,16 @@ def _round_to(value: Decimal, digits: int) -> Decimal:
         return +value
 
 
+def _golden() -> Decimal:
+    """(1 + sqrt(5)) / 2 at the precision of the current decimal context."""
+    return (1 + Decimal(5).sqrt()) / 2
+
+
 def phi(cfg: PrecisionConfig) -> Decimal:
     """(1 + sqrt(5)) / 2 to cfg.digits significant digits."""
     with localcontext() as ctx:
         ctx.prec = cfg.digits + _GUARD_DIGITS
-        value = (1 + Decimal(5).sqrt()) / 2
+        value = _golden()
     return _round_to(value, cfg.digits)
 
 
@@ -75,7 +80,7 @@ def convergence_table(n_max: int, cfg: PrecisionConfig) -> list[ConvergenceRow]:
     rows = []
     with localcontext() as ctx:
         ctx.prec = cfg.digits + _GUARD_DIGITS
-        golden = (1 + Decimal(5).sqrt()) / 2
+        golden = _golden()
         a, b = 1, 1  # F(n), F(n+1)
         for n in range(n_max + 1):
             ratio = Decimal(b) / Decimal(a)
@@ -150,7 +155,7 @@ def octagon_limits(cfg: PrecisionConfig) -> tuple[Decimal, Decimal, Decimal]:
     """
     with localcontext() as ctx:
         ctx.prec = cfg.digits + _GUARD_DIGITS
-        golden = (1 + Decimal(5).sqrt()) / 2
+        golden = _golden()
         golden2 = golden * golden
         golden4 = golden2 * golden2
         sqrt2 = Decimal(2).sqrt()

@@ -6,7 +6,6 @@ from hippasus.descent import (
     DescentTrace,
     HippasusPair,
     NotHippasusError,
-    _successors_by_scan,
     descend,
     extend,
     find_exact_solution,
@@ -19,6 +18,32 @@ from hippasus.descent import (
     verify_no_exact_solution,
 )
 from hippasus.fibonacci import fib, fib_index_of
+
+
+def successors_by_scan(beta: int) -> tuple[int, ...]:
+    """Reference: test every alpha the window bounds allow.
+
+    For beta = 1 only alpha in {1, 2} can work (1*(1+n) - n^2 <= -5 for n > 2);
+    for beta >= 2 the window is the closed interval [beta+1, 2*beta-1].
+    """
+    candidates = (1, 2) if beta == 1 else range(beta + 1, 2 * beta)
+    return tuple(
+        alpha
+        for alpha in candidates
+        if beta * (beta + alpha) - alpha * alpha in (1, -1)
+    )
+
+
+def exact_solutions_by_scan(max_beta: int) -> dict[int, int]:
+    """Reference: {beta: smallest alpha in [beta, 2*beta] with
+    beta*(beta+alpha) == alpha**2}, for every beta <= max_beta that has one."""
+    found = {}
+    for beta in range(1, max_beta + 1):
+        for alpha in range(beta, 2 * beta + 1):
+            if beta * (beta + alpha) == alpha * alpha:
+                found[beta] = alpha
+                break
+    return found
 
 
 class TestResidual:
@@ -82,17 +107,17 @@ class TestSuccessors:
 
     def test_empty_window(self):
         # beta = 4 scans alpha in {5, 6, 7}: residuals 11, 4, -5
-        assert _successors_by_scan(4) == ()
+        assert successors_by_scan(4) == ()
         assert successors(4).successors == ()
 
     def test_matches_scan_exhaustively(self):
         for beta in range(1, 2001):
-            assert successors(beta).successors == _successors_by_scan(beta), beta
+            assert successors(beta).successors == successors_by_scan(beta), beta
 
     def test_matches_scan_sampled(self):
         rng = random.Random(20260809)
         for beta in rng.sample(range(2001, 60_000), 12):
-            assert successors(beta).successors == _successors_by_scan(beta), beta
+            assert successors(beta).successors == successors_by_scan(beta), beta
 
     def test_uniqueness_window(self):
         for beta in range(2, 3000):
@@ -232,6 +257,14 @@ class TestNoExactSolution:
 
     def test_finder_returns_nothing(self):
         assert find_exact_solution(2000) is None
+
+    def test_matches_window_scan(self):
+        scan = exact_solutions_by_scan(3000)
+        first = None
+        for b in range(1, 3001):
+            if first is None and b in scan:
+                first = (b, scan[b])
+            assert find_exact_solution(b) == first, b
 
     def test_requires_positive(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+import subprocess
+import sys
 import threading
 
 import pytest
@@ -11,17 +13,24 @@ from hippasus.fibonacci import (
 )
 
 
-def fib_fast_doubling(k: int) -> int:
-    """Independent oracle: conventional F(0)=0, F(1)=1 by fast doubling."""
-    def pair(m: int) -> tuple[int, int]:
-        if m == 0:
-            return (0, 1)
-        a, b = pair(m >> 1)
-        c = a * (2 * b - a)
-        d = a * a + b * b
-        return (d, c + d) if m & 1 else (c, d)
+def fib_by_addition(k: int) -> int:
+    """Independent oracle: conventional F(0)=0, F(1)=1 by plain iterative addition."""
+    a, b = 0, 1
+    for _ in range(k):
+        a, b = b, a + b
+    return a
 
-    return pair(k)[0]
+
+def first_index_at_least(targets: list[int]) -> dict[int, tuple[int, int, int]]:
+    """Independent oracle, one plain walk for all targets: for each n >= 1,
+    (i, F(i), F(i+1)) with i the smallest index having F(i) >= n."""
+    found = {}
+    i, a, b = 0, 1, 1
+    for n in sorted(set(targets)):
+        while a < n:
+            i, a, b = i + 1, b, a + b
+        found[n] = (i, a, b)
+    return found
 
 
 class TestFib:
@@ -42,10 +51,13 @@ class TestFib:
         for i in range(0, 301):
             assert fib(i) + fib(i + 1) == fib(i + 2)
 
-    @pytest.mark.parametrize("i", [0, 1, 7, 30, 89, 300, 2500, 10_001, 12_345])
+    @pytest.mark.parametrize(
+        "i", [0, 1, 7, 30, 89, 300, 2500, 9_999, 10_000, 10_001, 12_345, 100_000]
+    )
     def test_against_fast_doubling_oracle(self, i):
-        # 1,1-start F(i) equals conventional F(i+1)
-        assert fib(i) == fib_fast_doubling(i + 1)
+        # 1,1-start F(i) equals conventional F(i+1); the oracle adds, so it
+        # shares no algorithm with fib's memo or its fast doubling
+        assert fib(i) == fib_by_addition(i + 1)
 
     def test_index_range_errors(self):
         with pytest.raises(ValueError):
@@ -92,6 +104,28 @@ class TestFibIndexOf:
         with pytest.raises(ValueError):
             fib_index_of(0)
 
+    def test_matches_walk_on_small_range(self):
+        walk = first_index_at_least(list(range(1, 20_001)))
+        for n in range(1, 20_001):
+            i, value, _ = walk[n]
+            assert fib_index_of(n) == (i if value == n else None), n
+
+    def test_matches_walk_near_memo_limit_and_beyond(self):
+        indices = [9_998, 9_999, 10_000, 10_001, 10_002, 100_000]
+        values = {i: fib_by_addition(i + 1) for i in indices}
+        targets = [v + d for v in values.values() for d in (-1, 0, 1)]
+        walk = first_index_at_least(targets)
+        for n in targets:
+            i, value, _ = walk[n]
+            assert fib_index_of(n) == (i if value == n else None)
+        for i, value in values.items():
+            assert fib_index_of(value) == i
+
+    def test_accepts_values_beyond_max_index(self):
+        beyond = fib(MAX_INDEX) + fib(MAX_INDEX - 1)  # F(MAX_INDEX + 1)
+        assert fib_index_of(beyond) == MAX_INDEX + 1
+        assert fib_index_of(beyond + 1) is None
+
 
 class TestIsConsecutiveFib:
     def test_base_pairs(self):
@@ -115,6 +149,57 @@ class TestIsConsecutiveFib:
             is_consecutive_fib(0, 1)
         with pytest.raises(ValueError):
             is_consecutive_fib(1, 0)
+
+    def test_matches_pair_set(self):
+        pairs = set()
+        a, b = 1, 1
+        while a <= 5_000:
+            pairs.add((a, b))
+            a, b = b, a + b
+        pairs.add((1, 2))
+        for x in range(1, 5_001):
+            successor = next((q for p, q in pairs if p == x and q != 1), None)
+            ys = {1, x - 1, x, x + 1, 2 * x - 1, 2 * x, 2 * x + 1, 3 * x}
+            if successor is not None:
+                ys |= {successor - 1, successor, successor + 1}
+            for y in ys - {0}:
+                assert is_consecutive_fib(x, y) == ((x, y) in pairs), (x, y)
+
+    def test_matches_walk_near_memo_limit_and_beyond(self):
+        indices = [9_998, 9_999, 10_000, 10_001, 10_002, 100_000]
+        for i in indices:
+            x, y = fib_by_addition(i + 1), fib_by_addition(i + 2)
+            assert is_consecutive_fib(x, y)
+            for bad in (y - 1, y + 1, x, 2 * x, x - 1):
+                assert not is_consecutive_fib(x, bad)
+            assert not is_consecutive_fib(x + 1, y)
+            assert not is_consecutive_fib(x - 1, y)
+
+
+class TestIntegerBoundary:
+    def test_accepts_numpy_integers(self):
+        np = pytest.importorskip("numpy")
+        f50, f51 = fib(50), fib(51)
+        assert fib(np.int64(50)) == f50
+        assert fib_index_of(np.int64(f50)) == 50
+        assert is_consecutive_fib(np.int64(f50), np.int64(f51))
+
+    @pytest.mark.parametrize("bad", [2.0, True, 1.5])
+    def test_rejects_non_integers(self, bad):
+        with pytest.raises(ValueError):
+            fib(bad)
+        with pytest.raises(ValueError):
+            fib_index_of(bad)
+        with pytest.raises(ValueError):
+            is_consecutive_fib(bad, 3)
+        with pytest.raises(ValueError):
+            is_consecutive_fib(2, bad)
+
+
+def test_import_does_not_load_numpy():
+    code = "import sys, hippasus; sys.exit('numpy' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr or "importing hippasus loaded numpy"
 
 
 class TestCassini:
