@@ -14,15 +14,6 @@ from .fibonacci import cassini_residual, fib
 from .geometry import PrecisionConfig, PrecisionTooLow, convergence_table
 from .wasteels import classify
 
-VERIFY_SUITES = ("cassini", "equivalence", "parity", "convergence")
-
-_DEFAULT_BOUNDS = {
-    "cassini": 300,
-    "equivalence": 100_000,
-    "parity": 1_000,
-    "convergence": 60,
-}
-
 
 def _int_at_least(minimum: int):
     """argparse type: an integer >= minimum (0 or 1)."""
@@ -176,15 +167,18 @@ def _verify_convergence(bound: int) -> int:
     return 0
 
 
+# suite name -> (runner, default bound)
+VERIFY_SUITES = {
+    "cassini": (_verify_cassini, 300),
+    "equivalence": (_verify_equivalence, 100_000),
+    "parity": (_verify_parity, 1_000),
+    "convergence": (_verify_convergence, 60),
+}
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
-    bound = args.bound if args.bound is not None else _DEFAULT_BOUNDS[args.suite]
-    runner = {
-        "cassini": _verify_cassini,
-        "equivalence": _verify_equivalence,
-        "parity": _verify_parity,
-        "convergence": _verify_convergence,
-    }[args.suite]
-    return runner(bound)
+    runner, default_bound = VERIFY_SUITES[args.suite]
+    return runner(args.bound if args.bound is not None else default_bound)
 
 
 def build_parser() -> argparse.ArgumentParser:

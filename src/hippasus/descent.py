@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt
 
-from .fibonacci import fib
+from .fibonacci import _as_int, fib
 
 
 class NotHippasusError(ValueError):
@@ -32,6 +32,7 @@ class NotHippasusError(ValueError):
 
 def hippasus_residual(beta: int, alpha: int) -> int:
     """beta*(beta + alpha) - alpha**2, exact."""
+    beta, alpha = _as_int(beta, "beta"), _as_int(alpha, "alpha")
     if beta < 1 or alpha < 1:
         raise ValueError(f"arguments must be >= 1, got ({beta}, {alpha})")
     return beta * (beta + alpha) - alpha * alpha
@@ -39,6 +40,7 @@ def hippasus_residual(beta: int, alpha: int) -> int:
 
 def is_hippasus_pair(beta: int, alpha: int) -> bool:
     """True iff alpha >= beta and the residual is +1 or -1."""
+    beta, alpha = _as_int(beta, "beta"), _as_int(alpha, "alpha")
     if beta < 1:
         raise ValueError(f"beta must be >= 1, got {beta}")
     if alpha < beta:
@@ -95,41 +97,48 @@ class SuccessorSet:
 
 @dataclass(frozen=True)
 class DescentTrace:
-    """The strictly decreasing walk produced by ``descend``.
+    """The walk produced by ``descend``, kept as its start and its length.
 
-    ``steps`` holds (beta_1, beta_2, ..., beta_{i+1}) with
-    steps[k+2] = steps[k] - steps[k+1]; every trace of length >= 3 ends in
-    (2, 1, 1), and fib(recovered_index) == steps[0].
+    Descent from beta = F(i) visits F(i), F(i-1), ..., F(0), so the trace is
+    fixed by ``beta`` and ``recovered_index`` = i, and fib(i) == beta is all
+    there is to check.  ``steps`` rebuilds the walk on each access.
     """
 
-    steps: tuple[int, ...]
+    beta: int
     recovered_index: int
 
     def __post_init__(self) -> None:
-        steps = self.steps
-        if not steps:
-            raise ValueError("trace must be non-empty")
-        for k in range(len(steps) - 2):
-            if steps[k + 2] != steps[k] - steps[k + 1]:
-                raise ValueError(f"triple rule broken at position {k}: {steps[k:k+3]}")
-        if len(steps) >= 2 and not (steps[-1] == steps[-2] == 1):
-            raise ValueError(f"trace must end in two 1s, got {steps[-2:]}")
-        if len(steps) >= 3 and steps[-3] != 2:
-            raise ValueError(f"trace must end in (2, 1, 1), got {steps[-3:]}")
-        if self.recovered_index != len(steps) - 1:
+        if fib(self.recovered_index) != self.beta:
             raise ValueError(
-                f"recovered_index {self.recovered_index} != len(steps) - 1 = {len(steps) - 1}"
-            )
-        if fib(self.recovered_index) != steps[0]:
-            raise ValueError(
-                f"fib({self.recovered_index}) != starting value {steps[0]}"
+                f"fib({self.recovered_index}) != starting value {self.beta}"
             )
 
+    @property
+    def steps(self) -> tuple[int, ...]:
+        """(beta_1, ..., beta_{i+1}) = (F(i), ..., F(0)), so
+        steps[k+2] = steps[k] - steps[k+1] and a trace of length >= 3 ends
+        in (2, 1, 1)."""
+        a, b, rising = 1, 1, []
+        for _ in range(self.recovered_index + 1):
+            rising.append(a)
+            a, b = b, a + b
+        return tuple(reversed(rising))
 
-def _successors_closed_form(beta: int) -> tuple[int, ...]:
+
+def successors(beta: int) -> SuccessorSet:
+    """All alpha in the search window with residual +1 or -1.
+
+    The result is empty exactly when beta is not a Hippasus number; beta = 1
+    yields {1, 2}, every other Hippasus beta yields a single successor.
+    """
+    if type(beta) is not int:  # the call would cost ~7 % of a small call
+        beta = _as_int(beta, "beta")
+    if beta < 1:
+        raise ValueError(f"beta must be >= 1, got {beta}")
     # alpha solves alpha^2 - beta*alpha - beta^2 = -/+1, so
     # alpha = (beta + sqrt(5*beta^2 -/+ 4)) / 2 -- integral iff the
-    # discriminant is a perfect square of parity matching beta.
+    # discriminant is a perfect square of parity matching beta.  The two
+    # discriminants differ, so the roots found are distinct and ascending.
     # Differentially tested against the window scan in tests/.
     b5 = 5 * beta * beta
     found = []
@@ -139,18 +148,7 @@ def _successors_closed_form(beta: int) -> tuple[int, ...]:
             alpha = (beta + root) // 2
             if alpha >= beta and beta * (beta + alpha) - alpha * alpha in (1, -1):
                 found.append(alpha)
-    return tuple(sorted(set(found)))
-
-
-def successors(beta: int) -> SuccessorSet:
-    """All alpha in the search window with residual +1 or -1.
-
-    The result is empty exactly when beta is not a Hippasus number; beta = 1
-    yields {1, 2}, every other Hippasus beta yields a single successor.
-    """
-    if beta < 1:
-        raise ValueError(f"beta must be >= 1, got {beta}")
-    return SuccessorSet(beta, _successors_closed_form(beta))
+    return SuccessorSet(beta, tuple(found))
 
 
 def unique_successor(beta: int) -> int:
@@ -185,28 +183,28 @@ def extend(pair: HippasusPair) -> HippasusPair:
 def descend(beta: int) -> DescentTrace | None:
     """Decide membership by subtractive descent; None means not Hippasus.
 
-    From the successor alpha of beta, iterate (b, a) -> (a - b, b) recording
-    the first components.  The recorded values decrease strictly until the
-    walk closes with two equal entries, which are forced to be 1, so every
-    trace of length >= 3 ends in (2, 1, 1).  The trace length recovers the
-    Fibonacci index: a trace (beta_1, ..., beta_{L}) gives beta_1 = fib(L-1),
-    which DescentTrace re-asserts against the sequence itself.
+    From the successor alpha of beta, iterate (b, a) -> (a - b, b) and count
+    the steps.  The first components decrease strictly until the walk closes
+    with b == a, which forces (1, 1), so a walk of two or more steps ends in
+    the pattern (2, 1, 1).  The count recovers the Fibonacci index:
+    beta = fib(count), which DescentTrace re-asserts against the sequence.
 
     beta = 1 returns the degenerate single-entry trace with index 0.
     """
+    if type(beta) is not int:  # as in successors
+        beta = _as_int(beta, "beta")
     if beta < 1:
         raise ValueError(f"beta must be >= 1, got {beta}")
     if beta == 1:
-        return DescentTrace((1,), 0)
+        return DescentTrace(1, 0)
     found = successors(beta).successors
     if not found:
         return None
-    a, b = beta, found[0]
-    steps = [a]
+    b, a, count = beta, found[0], 0
     while a != b:
-        a, b = b - a, a
-        steps.append(a)
-    return DescentTrace(tuple(steps), len(steps) - 1)
+        b, a = a - b, b
+        count += 1
+    return DescentTrace(beta, count)
 
 
 def is_fibonacci_by_descent(beta: int) -> bool:

@@ -5,11 +5,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fibonacci import fib, fib_index_of, is_consecutive_fib
+from .fibonacci import _as_int, _locate, is_consecutive_fib
 
 
 def wasteels_residual(x: int, y: int) -> int:
     """y**2 - x*y - x**2, exact."""
+    x, y = _as_int(x, "x"), _as_int(y, "y")
     if x < 1 or y < 1:
         raise ValueError(f"arguments must be >= 1, got ({x}, {y})")
     return y * y - x * y - x * x
@@ -36,6 +37,8 @@ def classify(x: int, y: int) -> WasteelsVerdict:
     Consecutive means x <= y and the residual is +1 or -1.  The duplicated
     value 1 maps (1, 1) -> indices (0, 1) and (1, 2) -> indices (1, 2).
     """
+    if type(x) is not int or type(y) is not int:  # the calls would cost ~25 % of a small call
+        x, y = _as_int(x, "x"), _as_int(y, "y")
     if x < 1 or y < 1:
         raise ValueError(f"arguments must be >= 1, got ({x}, {y})")
     residual = y * y - x * y - x * x
@@ -44,8 +47,9 @@ def classify(x: int, y: int) -> WasteelsVerdict:
     if x == 1:
         indices = (0, 1) if y == 1 else (1, 2)
     else:
-        i = fib_index_of(x)
-        assert i is not None and fib(i + 1) == y, (x, y)
+        i, value, following = _locate(x)
+        if value != x or following != y:
+            raise RuntimeError(f"({x}, {y}) has residual {residual} but is not a Fibonacci pair")
         indices = (i, i + 1)
     return WasteelsVerdict(x, y, residual, True, indices)
 

@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from dataclasses import fields
 
 import pytest
 
@@ -17,7 +21,23 @@ from hippasus.descent import (
     unique_successor,
     verify_no_exact_solution,
 )
-from hippasus.fibonacci import fib, fib_index_of
+from hippasus.fibonacci import MAX_INDEX, fib, fib_index_of
+
+# prints the VmHWM raise (kB) across descend(F(10^5)), then the index found
+RSS_CHECK = """
+from hippasus import descend, fib
+
+def hwm_kb():
+    with open("/proc/self/status") as status:
+        for line in status:
+            if line.startswith("VmHWM:"):
+                return int(line.split()[1])
+
+beta = fib(10**5)
+before = hwm_kb()
+trace = descend(beta)
+print(hwm_kb() - before, trace.recovered_index)
+"""
 
 
 def successors_by_scan(beta: int) -> tuple[int, ...]:
@@ -214,9 +234,31 @@ class TestDescend:
 
     def test_trace_validation(self):
         with pytest.raises(ValueError):
-            DescentTrace((13, 8, 5), 2)  # does not end in two 1s
+            DescentTrace(13, 5)  # wrong index
         with pytest.raises(ValueError):
-            DescentTrace((13, 8, 5, 3, 2, 1, 1), 5)  # wrong index
+            DescentTrace(12, 5)  # not a Fibonacci number
+
+    def test_trace_holds_start_and_index(self):
+        assert [f.name for f in fields(DescentTrace)] == ["beta", "recovered_index"]
+        assert DescentTrace(13, 6) == descend(13)
+        assert DescentTrace(1, 0).steps == (1,)
+        assert DescentTrace(1, 1).steps == (1, 1)
+        for bad_index in (-1, MAX_INDEX + 1, 6.0):
+            with pytest.raises(ValueError):
+                DescentTrace(13, bad_index)
+
+    def test_descent_memory_is_bounded(self):
+        # the walk holds two values at a time; a stored trace of F(10^5)
+        # would hold about 0.35 * (10^5)^2 bits
+        if not os.path.exists("/proc/self/status"):
+            pytest.skip("needs /proc/self/status for VmHWM")
+        run = subprocess.run(
+            [sys.executable, "-c", RSS_CHECK], capture_output=True, text=True
+        )
+        assert run.returncode == 0, run.stderr
+        raised_kb, index = map(int, run.stdout.split())
+        assert index == 10**5
+        assert raised_kb < 10 * 1024
 
 
 class TestCassiniCorrespondence:
@@ -269,3 +311,31 @@ class TestNoExactSolution:
     def test_requires_positive(self):
         with pytest.raises(ValueError):
             verify_no_exact_solution(0)
+
+
+class TestIntegerBoundary:
+    def test_accepts_numpy_integers(self):
+        np = pytest.importorskip("numpy")
+        f50, f51 = fib(50), fib(51)
+        beta, alpha = np.int64(f50), np.int64(f51)
+        assert successors(beta).successors == (f51,)
+        assert descend(beta).recovered_index == 50
+        assert hippasus_residual(beta, alpha) == 1  # (-1)**50
+        # -beta**2 is below int64's range, so fixed-width arithmetic would wrap
+        assert hippasus_residual(beta, np.int64(2 * f50)) == -(f50**2)
+        assert is_hippasus_pair(beta, alpha)
+
+    @pytest.mark.parametrize("bad", [2.0, True, 1.5])
+    def test_rejects_non_integers(self, bad):
+        with pytest.raises(ValueError):
+            successors(bad)
+        with pytest.raises(ValueError):
+            descend(bad)
+        with pytest.raises(ValueError):
+            hippasus_residual(bad, 3)
+        with pytest.raises(ValueError):
+            hippasus_residual(2, bad)
+        with pytest.raises(ValueError):
+            is_hippasus_pair(bad, 3)
+        with pytest.raises(ValueError):
+            is_hippasus_pair(2, bad)

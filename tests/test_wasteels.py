@@ -4,6 +4,7 @@ import pytest
 
 from hippasus.descent import hippasus_residual
 from hippasus.fibonacci import fib, is_consecutive_fib
+from hippasus import wasteels
 from hippasus.wasteels import classify, wasteels_residual
 
 
@@ -64,3 +65,33 @@ class TestClassify:
     def test_requires_positive(self):
         with pytest.raises(ValueError):
             classify(1, 0)
+
+    def test_disagreeing_locate_raises(self, monkeypatch):
+        # a residual of +/-1 with no matching index is an internal fault,
+        # reported by a check that python -O keeps
+        monkeypatch.setattr(wasteels, "_locate", lambda n: (4, 5, 9))
+        with pytest.raises(RuntimeError):
+            classify(5, 8)
+
+
+class TestIntegerBoundary:
+    def test_accepts_numpy_integers(self):
+        np = pytest.importorskip("numpy")
+        x, y = np.int64(fib(50)), np.int64(fib(51))
+        v = classify(x, y)
+        assert v.consecutive and v.indices == (50, 51)
+        assert v.residual == wasteels_residual(x, y) == -1  # (-1)**51
+        # 5*x**2 exceeds int64, so fixed-width arithmetic would wrap
+        far = np.int64(3 * fib(50))
+        assert classify(x, far).residual == wasteels_residual(x, far) == 5 * fib(50) ** 2
+
+    @pytest.mark.parametrize("bad", [2.0, True, 1.5])
+    def test_rejects_non_integers(self, bad):
+        with pytest.raises(ValueError):
+            classify(bad, 3)
+        with pytest.raises(ValueError):
+            classify(2, bad)
+        with pytest.raises(ValueError):
+            wasteels_residual(bad, 3)
+        with pytest.raises(ValueError):
+            wasteels_residual(2, bad)
