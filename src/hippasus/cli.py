@@ -230,10 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # the tool prints and parses arbitrarily large integers; drop the
-    # interpreter's int<->str digit guard (present since 3.10.7)
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -247,4 +243,9 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
+    # the tool prints and parses arbitrarily large integers; drop the
+    # interpreter's int<->str digit guard (present since 3.10.7) for this
+    # process only, so that main() called in-process leaves it alone
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     sys.exit(main())

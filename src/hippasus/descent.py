@@ -32,17 +32,13 @@ class NotHippasusError(ValueError):
 
 def hippasus_residual(beta: int, alpha: int) -> int:
     """beta*(beta + alpha) - alpha**2, exact."""
-    beta, alpha = _as_int(beta, "beta"), _as_int(alpha, "alpha")
-    if beta < 1 or alpha < 1:
-        raise ValueError(f"arguments must be >= 1, got ({beta}, {alpha})")
+    beta, alpha = _as_int(beta, "beta", 1), _as_int(alpha, "alpha", 1)
     return beta * (beta + alpha) - alpha * alpha
 
 
 def is_hippasus_pair(beta: int, alpha: int) -> bool:
     """True iff alpha >= beta and the residual is +1 or -1."""
-    beta, alpha = _as_int(beta, "beta"), _as_int(alpha, "alpha")
-    if beta < 1:
-        raise ValueError(f"beta must be >= 1, got {beta}")
+    beta, alpha = _as_int(beta, "beta", 1), _as_int(alpha, "alpha")
     if alpha < beta:
         return False
     return beta * (beta + alpha) - alpha * alpha in (1, -1)
@@ -57,8 +53,8 @@ class HippasusPair:
     sign: int
 
     def __post_init__(self) -> None:
-        if self.beta < 1:
-            raise ValueError(f"beta must be >= 1, got {self.beta}")
+        for name, minimum in (("beta", 1), ("alpha", None), ("sign", None)):
+            object.__setattr__(self, name, _as_int(getattr(self, name), name, minimum))
         if self.alpha < self.beta:
             raise ValueError(f"alpha must be >= beta, got ({self.beta}, {self.alpha})")
         if self.sign not in (1, -1):
@@ -108,6 +104,8 @@ class DescentTrace:
     recovered_index: int
 
     def __post_init__(self) -> None:
+        for name in ("beta", "recovered_index"):
+            object.__setattr__(self, name, _as_int(getattr(self, name), name))
         if fib(self.recovered_index) != self.beta:
             raise ValueError(
                 f"fib({self.recovered_index}) != starting value {self.beta}"
@@ -131,10 +129,8 @@ def successors(beta: int) -> SuccessorSet:
     The result is empty exactly when beta is not a Hippasus number; beta = 1
     yields {1, 2}, every other Hippasus beta yields a single successor.
     """
-    if type(beta) is not int:  # the call would cost ~7 % of a small call
-        beta = _as_int(beta, "beta")
-    if beta < 1:
-        raise ValueError(f"beta must be >= 1, got {beta}")
+    if type(beta) is not int or beta < 1:  # the call would cost ~7 % of a small call
+        beta = _as_int(beta, "beta", 1)
     # alpha solves alpha^2 - beta*alpha - beta^2 = -/+1, so
     # alpha = (beta + sqrt(5*beta^2 -/+ 4)) / 2 -- integral iff the
     # discriminant is a perfect square of parity matching beta.  The two
@@ -157,8 +153,7 @@ def unique_successor(beta: int) -> int:
     Raises NotHippasusError when beta has no successor, ValueError for
     beta = 1 (ambiguous: two successors) or beta < 1.
     """
-    if beta < 2:
-        raise ValueError(f"beta must be >= 2, got {beta}")
+    beta = _as_int(beta, "beta", 2)
     found = successors(beta).successors
     if not found:
         raise NotHippasusError(f"{beta} is not a Hippasus number")
@@ -191,10 +186,8 @@ def descend(beta: int) -> DescentTrace | None:
 
     beta = 1 returns the degenerate single-entry trace with index 0.
     """
-    if type(beta) is not int:  # as in successors
-        beta = _as_int(beta, "beta")
-    if beta < 1:
-        raise ValueError(f"beta must be >= 1, got {beta}")
+    if type(beta) is not int or beta < 1:  # as in successors
+        beta = _as_int(beta, "beta", 1)
     if beta == 1:
         return DescentTrace(1, 0)
     found = successors(beta).successors
@@ -215,8 +208,7 @@ def is_fibonacci_by_descent(beta: int) -> bool:
 def find_exact_solution(max_beta: int) -> tuple[int, int] | None:
     """Smallest (beta, alpha) with beta <= max_beta, beta <= alpha <= 2*beta
     and beta*(beta+alpha) == alpha**2, or None when no such pair exists."""
-    if max_beta < 1:
-        raise ValueError(f"max_beta must be >= 1, got {max_beta}")
+    max_beta = _as_int(max_beta, "max_beta", 1)
     # The only positive root is alpha = (beta + sqrt(5*beta^2)) / 2, integral
     # iff 5*beta^2 is a perfect square whose root has beta's parity.
     # Differentially tested against the window scan in tests/.

@@ -25,15 +25,19 @@ _LOG2_PHI = math.log2((1 + math.sqrt(5)) / 2)
 _LOG2_SQRT5 = math.log2(5) / 2
 
 
-def _as_int(value: object, name: str) -> int:
-    """``value`` as an exact int (numpy integers included); ValueError for
-    bools, floats and anything else without ``__index__``."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ValueError(f"{name} must be an integer, got {value!r}")
+def _as_int(value: object, name: str, minimum: int | None = None) -> int:
+    """``value`` as a plain int (numpy integers included).  ValueError for
+    bools, floats and anything else without ``__index__``, and for values
+    below ``minimum``; the one gate for the package's integer arguments."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        number = operator.index(value)  # an exact int since Python 3.10
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if minimum is not None and number < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {number}")
+    return number
 
 
 def _pair(i: int) -> tuple[int, int]:
@@ -57,10 +61,8 @@ def fib(i: int) -> int:
 
     Supports 0 <= i <= MAX_INDEX; anything else raises ValueError.
     """
-    if type(i) is not int:  # the call would cost ~6 % of a memo hit
-        i = _as_int(i, "index")
-    if i < 0:
-        raise ValueError(f"index must be >= 0, got {i}")
+    if type(i) is not int or i < 0:  # the call would cost ~6 % of a memo hit
+        i = _as_int(i, "index", 0)
     if i > MAX_INDEX:
         raise ValueError(f"index {i} exceeds the supported range (max {MAX_INDEX})")
     if i > _CACHE_LIMIT:
@@ -95,18 +97,14 @@ def fib_index_of(n: int) -> int | None:
     n = 1 returns 0 (the smaller of its two valid indices).  Requires n >= 1;
     values beyond F(MAX_INDEX) are answered too.
     """
-    n = _as_int(n, "n")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = _as_int(n, "n", 1)
     i, value, _ = _locate(n)
     return i if value == n else None
 
 
 def is_consecutive_fib(x: int, y: int) -> bool:
     """True iff x = F(i) and y = F(i+1) for some i; (1,1) and (1,2) both qualify."""
-    x, y = _as_int(x, "x"), _as_int(y, "y")
-    if x < 1 or y < 1:
-        raise ValueError(f"arguments must be >= 1, got ({x}, {y})")
+    x, y = _as_int(x, "x", 1), _as_int(y, "y", 1)
     if x == 1:
         return y in (1, 2)
     # F(i) < F(i+1) < 2*F(i) for every i >= 2

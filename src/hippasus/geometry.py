@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 
-from .fibonacci import fib
+from .fibonacci import _as_int, fib
 
 _GUARD_DIGITS = 10
 
@@ -31,6 +31,7 @@ class PrecisionConfig:
     digits: int = 50
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "digits", _as_int(self.digits, "digits"))
         if self.digits < 15:
             raise PrecisionTooLow(f"digits must be >= 15, got {self.digits}")
 
@@ -70,8 +71,7 @@ def convergence_table(n_max: int, cfg: PrecisionConfig) -> list[ConvergenceRow]:
     F(n_max) by more than 10, so every quotient keeps meaningful fractional
     precision.
     """
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    n_max = _as_int(n_max, "n_max", 1)
     if 10 ** (cfg.digits - _GUARD_DIGITS) <= fib(n_max):
         raise PrecisionTooLow(
             f"digits={cfg.digits} too low for F({n_max}); "
@@ -115,8 +115,7 @@ class OctagonGeometry:
 def octagon(n: int, cfg: PrecisionConfig) -> OctagonGeometry:
     """Geometry at index n: coordinates, side lengths d and e, and the three
     tracked ratios d/F(n), d/e, e/F(n), all to cfg.digits."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    n = _as_int(n, "n", 0)
     f_n = fib(n)
     f_n2 = fib(n + 2)
     with localcontext() as ctx:

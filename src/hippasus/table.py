@@ -4,11 +4,10 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .descent import successors
-
-FORMATS = ("aligned", "csv", "json")
+from .fibonacci import _as_int
 
 _CSV_FIELDS = ("beta", "alpha", "sum", "product", "sign", "alpha_squared")
 
@@ -24,6 +23,8 @@ class TableRow:
     alpha_squared: int
 
     def __post_init__(self) -> None:
+        for field in fields(self):
+            object.__setattr__(self, field.name, _as_int(getattr(self, field.name), field.name))
         if self.sum != self.beta + self.alpha:
             raise ValueError(f"sum must be beta + alpha, got {self}")
         if self.alpha_squared != self.alpha * self.alpha:
@@ -42,8 +43,7 @@ class TableRow:
 
 def build_rows(max_beta: int) -> list[TableRow]:
     """All rows with beta <= max_beta, ascending in beta (beta = 1 twice)."""
-    if max_beta < 1:
-        raise ValueError(f"max_beta must be >= 1, got {max_beta}")
+    max_beta = _as_int(max_beta, "max_beta", 1)
     rows = []
     for beta in range(1, max_beta + 1):
         for alpha in successors(beta).successors:
@@ -92,11 +92,11 @@ def render_json(rows: list[TableRow]) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+_RENDERERS = {"aligned": render_aligned, "csv": render_csv, "json": render_json}
+FORMATS = tuple(_RENDERERS)
+
+
 def render(rows: list[TableRow], fmt: str) -> str:
-    if fmt == "aligned":
-        return render_aligned(rows)
-    if fmt == "csv":
-        return render_csv(rows)
-    if fmt == "json":
-        return render_json(rows)
-    raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
+    if fmt not in _RENDERERS:
+        raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
+    return _RENDERERS[fmt](rows)

@@ -10,9 +10,7 @@ from .fibonacci import _as_int, _locate, is_consecutive_fib
 
 def wasteels_residual(x: int, y: int) -> int:
     """y**2 - x*y - x**2, exact."""
-    x, y = _as_int(x, "x"), _as_int(y, "y")
-    if x < 1 or y < 1:
-        raise ValueError(f"arguments must be >= 1, got ({x}, {y})")
+    x, y = _as_int(x, "x", 1), _as_int(y, "y", 1)
     return y * y - x * y - x * x
 
 
@@ -37,10 +35,9 @@ def classify(x: int, y: int) -> WasteelsVerdict:
     Consecutive means x <= y and the residual is +1 or -1.  The duplicated
     value 1 maps (1, 1) -> indices (0, 1) and (1, 2) -> indices (1, 2).
     """
-    if type(x) is not int or type(y) is not int:  # the calls would cost ~25 % of a small call
-        x, y = _as_int(x, "x"), _as_int(y, "y")
-    if x < 1 or y < 1:
-        raise ValueError(f"arguments must be >= 1, got ({x}, {y})")
+    # the calls would cost ~25 % of a small call
+    if type(x) is not int or type(y) is not int or x < 1 or y < 1:
+        x, y = _as_int(x, "x", 1), _as_int(y, "y", 1)
     residual = y * y - x * y - x * x
     if x > y or (residual != 1 and residual != -1):
         return WasteelsVerdict(x, y, residual, False, None)

@@ -28,13 +28,30 @@ class TestFib:
         assert r.returncode == 0
         text = r.stdout.strip()
         assert text.isdigit() and len(text) > 6000
-        sys.set_int_max_str_digits(0)
         from hippasus import fib
 
-        assert text == str(fib(30000))
+        before = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            assert text == str(fib(30000))
+        finally:
+            sys.set_int_max_str_digits(before)
 
     def test_rejects_negative(self):
         assert run_cli("fib", "-3").returncode == 2
+
+    def test_in_process_main_keeps_int_str_limit(self, capsys):
+        # only the console entry point lifts the interpreter-wide digit guard
+        from hippasus.cli import main
+
+        before = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(5000)
+        try:
+            assert main(["fib", "10"]) == 0
+            assert sys.get_int_max_str_digits() == 5000
+        finally:
+            sys.set_int_max_str_digits(before)
+        assert capsys.readouterr().out == "89\n"
 
     def test_index_beyond_cap_is_reported(self):
         r = run_cli("fib", "1000001")

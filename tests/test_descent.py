@@ -324,6 +324,12 @@ class TestIntegerBoundary:
         # -beta**2 is below int64's range, so fixed-width arithmetic would wrap
         assert hippasus_residual(beta, np.int64(2 * f50)) == -(f50**2)
         assert is_hippasus_pair(beta, alpha)
+        assert type(HippasusPair(beta, alpha, 1).beta) is int
+        assert {type(v) for v in vars(DescentTrace(beta, np.int64(50))).values()} == {int}
+        # stored as int64, 2*beta would wrap for beta = F(90) and refuse this pair
+        pair = extend(HippasusPair.from_beta_alpha(np.int64(fib(89)), np.int64(fib(90))))
+        assert (pair.beta, pair.alpha) == (fib(90), fib(91))
+        assert {type(v) for v in vars(pair).values()} == {int}
 
     @pytest.mark.parametrize("bad", [2.0, True, 1.5])
     def test_rejects_non_integers(self, bad):
@@ -339,3 +345,14 @@ class TestIntegerBoundary:
             is_hippasus_pair(bad, 3)
         with pytest.raises(ValueError):
             is_hippasus_pair(2, bad)
+        for fields_ in ((bad, 3, 1), (2, bad, 1), (2, 3, bad)):  # (2, 3, 1) is valid
+            with pytest.raises(ValueError):
+                HippasusPair(*fields_)
+        with pytest.raises(ValueError):
+            DescentTrace(bad, 2)
+        with pytest.raises(ValueError):
+            unique_successor(bad)
+        with pytest.raises(ValueError):
+            find_exact_solution(bad)
+        with pytest.raises(ValueError):
+            verify_no_exact_solution(bad)

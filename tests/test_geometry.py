@@ -42,6 +42,25 @@ class TestPrecisionConfig:
             PrecisionConfig(digits=14)
         with pytest.raises(PrecisionTooLow):
             PrecisionConfig(digits=5)
+        with pytest.raises(PrecisionTooLow):
+            PrecisionConfig(10)
+
+
+class TestIntegerBoundary:
+    def test_accepts_numpy_integers(self):
+        np = pytest.importorskip("numpy")
+        assert type(PrecisionConfig(np.int64(20)).digits) is int
+        assert octagon(np.int64(10), PrecisionConfig(20)).n == 10
+
+    @pytest.mark.parametrize("bad", [2.0, True, 1.5])
+    def test_rejects_non_integers(self, bad):
+        with pytest.raises(ValueError, match="digits must be an integer"):
+            PrecisionConfig(bad)  # not PrecisionTooLow: the value is no integer at all
+        cfg = PrecisionConfig()
+        with pytest.raises(ValueError):
+            octagon(bad, cfg)
+        with pytest.raises(ValueError):
+            convergence_table(bad, cfg)
 
 
 class TestPhi:

@@ -86,10 +86,28 @@ def test_render_dispatch():
     assert render(rows, "aligned") == render_aligned(rows)
     assert render(rows, "csv") == render_csv(rows)
     assert render(rows, "json") == render_json(rows)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as refused:
         render(rows, "yaml")
+    assert str(refused.value) == "unknown format 'yaml'; expected one of ('aligned', 'csv', 'json')"
 
 
 def test_requires_positive_bound():
     with pytest.raises(ValueError):
         build_rows(0)
+
+
+class TestIntegerBoundary:
+    def test_accepts_numpy_integers(self):
+        np = pytest.importorskip("numpy")
+        row = TableRow(*(np.int64(v) for v in (2, 3, 5, 1, 9)))
+        assert {type(v) for v in vars(row).values()} == {int}
+        assert render_csv([row]).splitlines()[1] == "2,3,5,10,1,9"
+
+    @pytest.mark.parametrize("bad", [2.0, True, 1.5])
+    def test_rejects_non_integers(self, bad):
+        valid = (2, 3, 5, 1, 9)
+        for k in range(len(valid)):
+            with pytest.raises(ValueError):
+                TableRow(*valid[:k], bad, *valid[k + 1:])
+        with pytest.raises(ValueError):
+            build_rows(bad)
