@@ -54,7 +54,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     print("successors:", " ".join(str(a) for a in found))
     trace = descend(beta)
     assert trace is not None
-    print("descent:", " ".join(str(s) for s in trace.steps))
+    print("descent:", *trace.steps)
     print(f"fibonacci_index: {trace.recovered_index}")
     return 0
 
@@ -64,7 +64,7 @@ def _cmd_descent(args: argparse.Namespace) -> int:
     if trace is None:
         print(f"not a Hippasus number: {args.beta}")
         return 1
-    print("descent:", " ".join(str(s) for s in trace.steps))
+    print("descent:", *trace.steps)
     print(f"fibonacci_index: {trace.recovered_index}")
     return 0
 

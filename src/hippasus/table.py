@@ -6,7 +6,7 @@ import io
 import json
 from dataclasses import dataclass, fields
 
-from .descent import successors
+from .descent import HippasusPair, successors
 from .fibonacci import _as_int
 
 _CSV_FIELDS = ("beta", "alpha", "sum", "product", "sign", "alpha_squared")
@@ -29,8 +29,7 @@ class TableRow:
             raise ValueError(f"sum must be beta + alpha, got {self}")
         if self.alpha_squared != self.alpha * self.alpha:
             raise ValueError(f"alpha_squared must be alpha**2, got {self}")
-        if self.beta * self.sum != self.alpha_squared + self.sign:
-            raise ValueError(f"beta*(alpha+beta) != alpha**2 + sign in {self}")
+        HippasusPair(self.beta, self.alpha, self.sign)
 
     @property
     def product(self) -> int:

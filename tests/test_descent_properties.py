@@ -1,11 +1,19 @@
-"""Hypothesis properties of the descent at indices the exhaustive loops do not reach."""
+"""Hypothesis properties of the descent, Cassini and Wasteels laws at sizes the
+exhaustive loops do not reach."""
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from hippasus.descent import DescentTrace, HippasusPair, descend  # noqa: E402
-from hippasus.fibonacci import fib  # noqa: E402
+from hippasus.descent import (  # noqa: E402
+    DescentTrace,
+    HippasusPair,
+    descend,
+    hippasus_residual,
+    successors,
+)
+from hippasus.fibonacci import cassini_residual, fib  # noqa: E402
+from hippasus.wasteels import wasteels_residual  # noqa: E402
 
 indices = st.integers(min_value=2, max_value=10**4)
 relaxed = settings(deadline=None)
@@ -50,3 +58,22 @@ def test_steps_are_reversed_prefix(i):
     steps = descend(fib(i)).steps
     assert type(steps) is tuple
     assert steps == tuple(reversed(fib_prefix_by_addition(i)))
+
+
+@relaxed
+@given(st.integers(min_value=0, max_value=5000))
+def test_cassini_residual_is_index_parity(i):
+    # draws fall on both sides of the end of fib's table
+    assert cassini_residual(i) == (-1) ** i
+
+
+@relaxed
+@given(st.integers(min_value=1, max_value=10**30), st.integers(min_value=1, max_value=10**30))
+def test_wasteels_residual_negates_hippasus(x, y):
+    assert wasteels_residual(x, y) == -hippasus_residual(x, y)
+
+
+@relaxed
+@given(indices)
+def test_fib_has_one_successor(i):
+    assert successors(fib(i)).successors == (fib(i + 1),)

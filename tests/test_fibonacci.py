@@ -52,11 +52,13 @@ class TestFib:
             assert fib(i) + fib(i + 1) == fib(i + 2)
 
     @pytest.mark.parametrize(
-        "i", [0, 1, 7, 30, 89, 300, 2500, 9_999, 10_000, 10_001, 12_345, 100_000]
+        "i",
+        [0, 1, 7, 30, 89, 300, 2046, 2047, 2048, 2049, 2500, 9_999, 10_000, 10_001,
+         12_345, 100_000],
     )
     def test_against_fast_doubling_oracle(self, i):
         # 1,1-start F(i) equals conventional F(i+1); the oracle adds, so it
-        # shares no algorithm with fib's memo or its fast doubling
+        # shares no algorithm with fib's table or its fast doubling
         assert fib(i) == fib_by_addition(i + 1)
 
     def test_index_range_errors(self):
@@ -111,7 +113,7 @@ class TestFibIndexOf:
             assert fib_index_of(n) == (i if value == n else None), n
 
     def test_matches_walk_near_memo_limit_and_beyond(self):
-        indices = [9_998, 9_999, 10_000, 10_001, 10_002, 100_000]
+        indices = [2_046, 2_047, 2_048, 2_049, 9_998, 9_999, 10_000, 10_001, 10_002, 100_000]
         values = {i: fib_by_addition(i + 1) for i in indices}
         targets = [v + d for v in values.values() for d in (-1, 0, 1)]
         walk = first_index_at_least(targets)
@@ -166,7 +168,7 @@ class TestIsConsecutiveFib:
                 assert is_consecutive_fib(x, y) == ((x, y) in pairs), (x, y)
 
     def test_matches_walk_near_memo_limit_and_beyond(self):
-        indices = [9_998, 9_999, 10_000, 10_001, 10_002, 100_000]
+        indices = [2_046, 2_047, 2_048, 2_049, 9_998, 9_999, 10_000, 10_001, 10_002, 100_000]
         for i in indices:
             x, y = fib_by_addition(i + 1), fib_by_addition(i + 2)
             assert is_consecutive_fib(x, y)

@@ -62,6 +62,10 @@ def test_row_validation():
         TableRow(2, 3, 5, -1, 9)      # wrong sign
     with pytest.raises(ValueError):
         TableRow(2, 3, 5, 1, 10)      # wrong square
+    with pytest.raises(ValueError):
+        TableRow(2, 4, 6, -4, 16)     # sign not +1 or -1
+    with pytest.raises(ValueError):
+        TableRow(0, 1, 1, -1, 1)      # beta below 1
 
 
 def test_aligned_matches_golden_file():
