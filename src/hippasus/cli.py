@@ -52,11 +52,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         return 1
     print("status: hippasus")
     print("successors:", " ".join(str(a) for a in found))
-    trace = descend(beta)
-    assert trace is not None
-    print("descent:", *trace.steps)
-    print(f"fibonacci_index: {trace.recovered_index}")
-    return 0
+    return _cmd_descent(args)
 
 
 def _cmd_descent(args: argparse.Namespace) -> int:
@@ -86,6 +82,7 @@ def _cmd_octagon(args: argparse.Namespace) -> int:
     cfg = PrecisionConfig(digits=args.digits)
     geo = geometry.octagon(args.n, cfg)
     limits = geometry.octagon_limits(cfg)
+    deviations = geometry.octagon_deviations(args.n, cfg)
     print(f"n: {geo.n}")
     print(f"digits: {cfg.digits}")
     print(f"p: ({geo.p[0]}, {geo.p[1]})")
@@ -94,10 +91,10 @@ def _cmd_octagon(args: argparse.Namespace) -> int:
     print(f"e: {geo.e}")
     names = ("d_over_f", "d_over_e", "e_over_f")
     ratios = (geo.ratio_d_over_f, geo.ratio_d_over_e, geo.ratio_e_over_f)
-    for name, ratio, limit in zip(names, ratios, limits):
+    for name, ratio, limit, deviation in zip(names, ratios, limits, deviations):
         print(f"{name}: {ratio}")
         print(f"limit_{name}: {limit}")
-        print(f"deviation_{name}: {ratio - limit}")
+        print(f"deviation_{name}: {deviation}")
     return 0
 
 

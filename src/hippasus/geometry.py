@@ -7,8 +7,9 @@ Internally every computation carries ``digits + 10`` guard digits and rounds
 back once at the end, so published values are correctly rounded at the
 requested precision (a bare precision-``digits`` chain would double-round:
 e.g. the golden ratio at 15 digits must come out 1.61803398874989, not
-...90).  Precision travels explicitly in a PrecisionConfig value; no global
-decimal state is touched.
+...90).  A distance to a limit also carries the digits its subtraction
+cancels, about 2*log10(F(n)).  Precision travels explicitly in a
+PrecisionConfig value; no global decimal state is touched.
 """
 from __future__ import annotations
 
@@ -42,6 +43,11 @@ def _round_to(value: Decimal, digits: int) -> Decimal:
         return +value
 
 
+def _digit_count(value: int) -> int:
+    """len(str(value)) for value >= 1, clear of the interpreter's int->str limit."""
+    return Decimal(value).adjusted() + 1
+
+
 def _golden() -> Decimal:
     """(1 + sqrt(5)) / 2 at the precision of the current decimal context."""
     return (1 + Decimal(5).sqrt()) / 2
@@ -72,14 +78,17 @@ def convergence_table(n_max: int, cfg: PrecisionConfig) -> list[ConvergenceRow]:
     precision.
     """
     n_max = _as_int(n_max, "n_max", 1)
-    if 10 ** (cfg.digits - _GUARD_DIGITS) <= fib(n_max):
+    f_max = fib(n_max)
+    if 10 ** (cfg.digits - _GUARD_DIGITS) <= f_max:
         raise PrecisionTooLow(
             f"digits={cfg.digits} too low for F({n_max}); "
             f"need digits > log10(F(n_max)) + {_GUARD_DIGITS}"
         )
     rows = []
     with localcontext() as ctx:
-        ctx.prec = cfg.digits + _GUARD_DIGITS
+        # |phi - F(n+1)/F(n)| ~ 1/(sqrt(5)*F(n)**2), so the subtraction cancels
+        # about 2*log10(F(n)) leading digits; carry them on top of the guard
+        ctx.prec = cfg.digits + _GUARD_DIGITS + 2 * _digit_count(f_max)
         golden = _golden()
         a, b = 1, 1  # F(n), F(n+1)
         for n in range(n_max + 1):
@@ -164,3 +173,20 @@ def octagon_limits(cfg: PrecisionConfig) -> tuple[Decimal, Decimal, Decimal]:
         third = root_2m / 2 * golden2
     digits = cfg.digits
     return (_round_to(first, digits), _round_to(second, digits), _round_to(third, digits))
+
+
+def octagon_deviations(n: int, cfg: PrecisionConfig) -> tuple[Decimal, Decimal, Decimal]:
+    """ratio - limit for the three ratios of ``octagon(n, cfg)``, to cfg.digits.
+
+    The ratios close on their limits like 1/F(n)**2, so the subtraction
+    cancels about 2*log10(F(n)) digits; both sides carry that many more,
+    plus the guard digits.
+    """
+    n = _as_int(n, "n", 0)
+    wide = PrecisionConfig(cfg.digits + _GUARD_DIGITS + 2 * _digit_count(fib(n)))
+    geo = octagon(n, wide)
+    ratios = (geo.ratio_d_over_f, geo.ratio_d_over_e, geo.ratio_e_over_f)
+    with localcontext() as ctx:
+        ctx.prec = wide.digits  # exact: both sides have wide.digits digits near 1
+        deviations = [ratio - limit for ratio, limit in zip(ratios, octagon_limits(wide))]
+    return tuple(_round_to(deviation, cfg.digits) for deviation in deviations)

@@ -1,4 +1,4 @@
-"""Search table of Hippasus pairs and its aligned / CSV / JSON renderings."""
+"""Table of Hippasus pairs and its aligned / CSV / JSON renderings."""
 from __future__ import annotations
 
 import csv
@@ -6,7 +6,7 @@ import io
 import json
 from dataclasses import dataclass, fields
 
-from .descent import HippasusPair, successors
+from .descent import HippasusPair, extend
 from .fibonacci import _as_int
 
 _CSV_FIELDS = ("beta", "alpha", "sum", "product", "sign", "alpha_squared")
@@ -41,13 +41,19 @@ class TableRow:
 
 
 def build_rows(max_beta: int) -> list[TableRow]:
-    """All rows with beta <= max_beta, ascending in beta (beta = 1 twice)."""
+    """All rows with beta <= max_beta, ascending in beta (beta = 1 twice).
+
+    The rows are the orbit of (1, 1, +1) under ``extend``: O(log max_beta)
+    rows and no search.  The walk relies on the paper's theorem that this
+    orbit holds every Hippasus pair; acceptance criteria 3 and 4, ``verify
+    equivalence`` and the beta-scan oracle in tests/test_table.py check it.
+    """
     max_beta = _as_int(max_beta, "max_beta", 1)
-    rows = []
-    for beta in range(1, max_beta + 1):
-        for alpha in successors(beta).successors:
-            residual = beta * (beta + alpha) - alpha * alpha
-            rows.append(TableRow(beta, alpha, beta + alpha, residual, alpha * alpha))
+    rows, pair = [], HippasusPair(1, 1, 1)
+    while pair.beta <= max_beta:
+        beta, alpha = pair.beta, pair.alpha
+        rows.append(TableRow(beta, alpha, beta + alpha, pair.sign, alpha * alpha))
+        pair = extend(pair)
     return rows
 
 
@@ -71,23 +77,12 @@ def render_csv(rows: list[TableRow]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(_CSV_FIELDS)
-    for r in rows:
-        writer.writerow([r.beta, r.alpha, r.sum, r.product, r.sign, r.alpha_squared])
+    writer.writerows([getattr(r, field) for field in _CSV_FIELDS] for r in rows)
     return buf.getvalue()
 
 
 def render_json(rows: list[TableRow]) -> str:
-    payload = [
-        {
-            "beta": r.beta,
-            "alpha": r.alpha,
-            "sum": r.sum,
-            "product": r.product,
-            "sign": r.sign,
-            "alpha_squared": r.alpha_squared,
-        }
-        for r in rows
-    ]
+    payload = [{field: getattr(r, field) for field in _CSV_FIELDS} for r in rows]
     return json.dumps(payload, indent=2) + "\n"
 
 

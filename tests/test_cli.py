@@ -8,11 +8,12 @@ from pathlib import Path
 GOLDEN = Path(__file__).parent / "golden" / "table_max_beta_1000.txt"
 
 
-def run_cli(*args: str) -> subprocess.CompletedProcess:
+def run_cli(*args: str, timeout: float | None = None) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, "-m", "hippasus", *args],
         capture_output=True,
         text=True,
+        timeout=timeout,
     )
 
 
@@ -77,6 +78,18 @@ class TestTable:
 
     def test_bad_format_is_usage_error(self):
         assert run_cli("table", "--max-beta", "10", "--format", "xml").returncode == 2
+
+    def test_googol_bound_walks_the_sequence(self):
+        # a scan over beta in 1..10**100 would never finish; the walk takes 480 steps
+        r = run_cli("table", "--max-beta", str(10**100), "--format", "csv", timeout=60)
+        assert r.returncode == 0
+        data = [tuple(map(int, line.split(",")[:2])) for line in r.stdout.splitlines()[1:]]
+        expected, a, b = [], 1, 1  # (F(i), F(i+1)) by plain addition
+        while a <= 10**100:
+            expected.append((a, b))
+            a, b = b, a + b
+        assert len(data) == 480
+        assert data == expected
 
 
 class TestCheck:
@@ -167,6 +180,14 @@ class TestVerify:
         assert run_cli("verify", "equivalence", "--bound", "5000").returncode == 0
         assert run_cli("verify", "parity", "--bound", "500").returncode == 0
         assert run_cli("verify", "convergence", "--bound", "30").returncode == 0
+
+    def test_convergence_past_the_fixed_guard(self):
+        # each error cancels about 2*log10(F(n)) digits; carrying only the
+        # digit count of F(bound) once failed at n = 158 and n = 558
+        r = run_cli("verify", "convergence", "--bound", "158")
+        assert (r.returncode, r.stdout) == (0, "verify convergence: pass (n in 1..158 at 50 digits)\n")
+        r = run_cli("verify", "convergence", "--bound", "1000")
+        assert (r.returncode, r.stdout) == (0, "verify convergence: pass (n in 1..1000 at 224 digits)\n")
 
     def test_unknown_suite_is_usage_error(self):
         assert run_cli("verify", "collatz").returncode == 2

@@ -9,6 +9,7 @@ from hippasus.geometry import (
     PrecisionTooLow,
     convergence_table,
     octagon,
+    octagon_deviations,
     octagon_limits,
     phi,
 )
@@ -185,3 +186,37 @@ class TestOctagonLimits:
         with localcontext() as ctx:
             ctx.prec = 60
             assert abs(lim1 - lim2 * lim3) < Decimal("1e-48")
+
+
+class TestOctagonDeviations:
+    @pytest.mark.parametrize("n", [0, 1, 5, 40, 100, 200, 500])
+    def test_against_mpmath(self, n):
+        mp = mpmath
+        with mp.workdps(400):
+            half_inner, half_outer = mp.mpf(fib(n)) / 2, mp.mpf(fib(n + 2)) / 2
+            p_y = mp.sqrt(half_outer**2 - half_inner**2)
+            d = mp.sqrt(2) * (p_y - half_inner)
+            e = half_outer * mp.sqrt(2 - mp.sqrt(2))
+            golden = (1 + mp.sqrt(5)) / 2
+            expected = (
+                d / fib(n) - mp.sqrt(2) / 2 * (mp.sqrt(golden**4 - 1) - 1),
+                d / e - mp.sqrt(2) / mp.sqrt(2 - mp.sqrt(2))
+                * (mp.sqrt(1 - golden**-4) - golden**-2),
+                e / fib(n) - mp.sqrt(2 - mp.sqrt(2)) / 2 * golden**2,
+            )
+            wanted = [mp_decimal(want, 60) for want in expected]
+        got = octagon_deviations(n, PrecisionConfig(digits=50))
+        for value, want in zip(got, wanted):
+            assert abs((value - want) / value) < Decimal("1e-49"), n
+
+    def test_operands_past_the_int_str_limit(self):
+        # F(21000) has 4389 digits, past the interpreter's default int->str
+        # limit of 4300; the digit count must not come from str()
+        for value in octagon_deviations(21000, PrecisionConfig(digits=15)):
+            assert value < 0 and value.adjusted() == -8778
+
+    @pytest.mark.parametrize("n", [40, 200, 500])
+    def test_all_digits_survive_the_cancellation(self, n):
+        # near 1e-17, 1e-84 and 1e-209: each still shows 50 significant digits
+        for value in octagon_deviations(n, PrecisionConfig(digits=50)):
+            assert len(value.as_tuple().digits) == 50

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from hippasus.descent import successors
 from hippasus.table import TableRow, build_rows, render, render_aligned, render_csv, render_json
 
 GOLDEN = Path(__file__).parent / "golden" / "table_max_beta_1000.txt"
@@ -30,6 +31,28 @@ EXPECTED_ROWS = [
     (610, 987, 1597, 1),
     (987, 1597, 2584, -1),
 ]
+
+
+def rows_by_scan(max_beta: int) -> list[tuple[int, int, int, int, int]]:
+    """Reference: every (beta, alpha, sum, sign, alpha_squared) found by trying
+    each beta in 1..max_beta, independent of the extension law."""
+    rows = []
+    for beta in range(1, max_beta + 1):
+        for alpha in successors(beta).successors:
+            residual = beta * (beta + alpha) - alpha * alpha
+            rows.append((beta, alpha, beta + alpha, residual, alpha * alpha))
+    return rows
+
+
+@pytest.fixture(scope="module")
+def scanned():
+    return rows_by_scan(832041)  # F(30) = 832040: the bound on both sides of a member
+
+
+@pytest.mark.parametrize("max_beta", [1, 2, 3, 1000, 10**5, 832040, 832041])
+def test_build_rows_matches_scan(max_beta, scanned):
+    walked = [(r.beta, r.alpha, r.sum, r.sign, r.alpha_squared) for r in build_rows(max_beta)]
+    assert walked == [row for row in scanned if row[0] <= max_beta]
 
 
 def test_expected_rows_are_self_consistent():
