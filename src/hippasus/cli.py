@@ -9,9 +9,16 @@ import argparse
 import sys
 
 from . import geometry, table
-from .descent import descend, find_exact_solution, is_fibonacci_by_descent, successors
+from .descent import (
+    DescentTrace,
+    _descend_from,
+    descend,
+    find_exact_solution,
+    is_fibonacci_by_descent,
+    successors,
+)
 from .fibonacci import cassini_residual, fib
-from .geometry import PrecisionConfig, PrecisionTooLow, convergence_table
+from .geometry import PrecisionConfig, PrecisionTooLow, _digit_count, convergence_table
 from .wasteels import classify
 
 
@@ -52,7 +59,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         return 1
     print("status: hippasus")
     print("successors:", " ".join(str(a) for a in found))
-    return _cmd_descent(args)
+    return _print_descent(_descend_from(beta, found[0]))
 
 
 def _cmd_descent(args: argparse.Namespace) -> int:
@@ -60,6 +67,10 @@ def _cmd_descent(args: argparse.Namespace) -> int:
     if trace is None:
         print(f"not a Hippasus number: {args.beta}")
         return 1
+    return _print_descent(trace)
+
+
+def _print_descent(trace: DescentTrace) -> int:
     print("descent:", *trace.steps)
     print(f"fibonacci_index: {trace.recovered_index}")
     return 0
@@ -150,7 +161,7 @@ def _verify_parity(bound: int) -> int:
 
 
 def _verify_convergence(bound: int) -> int:
-    digits = max(50, len(str(fib(bound))) + 15)
+    digits = max(50, _digit_count(fib(bound)) + 15)
     rows = convergence_table(bound, PrecisionConfig(digits=digits))
     for n in range(1, bound + 1):
         prev, cur = rows[n - 1].error, rows[n].error

@@ -17,13 +17,47 @@ directions:
 * ``verify_no_exact_solution`` is the bounded sanity check that the residual
   is never exactly 0 -- the integer shadow of the incommensurability of a
   regular pentagon's side and diagonal.
+
+Above 2**60 the first two take a sub-quadratic path whose every answer is
+certified without the sequence: a "no" by a residue sieve or an isqrt test,
+a "yes" by a residual of +1 or -1 inside the window, and the descent by one
+jump of many steps whose landing is checked the same way.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
+from math import isqrt, prod
 
-from .fibonacci import _as_int, fib
+from .fibonacci import _LOG2_PHI, _as_int, _locate, _pair, fib
+
+# Above this beta, successors and descend take the big-operand path (sieve,
+# certified candidate, one jump).  The two paths break even near 2**60: there
+# a member's successors costs about 1 us more on the new path, its descent
+# and every rejection less, and the gap widens with beta.
+_BIG = 1 << 60
+
+# If beta is a Fibonacci number, 5*beta**2 - 4 or 5*beta**2 + 4 is a square,
+# so it is a square modulo every m (Cohen, A Course in Computational
+# Algebraic Number Theory, 1.7.2).  Each set holds the residues r mod m for
+# which 5r^2 -/+ 4 is a square mod m, built from the squares alone.
+_SIEVE_MODULI = (64, 63, 65, 11, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
+_SIEVE_PRODUCT = prod(_SIEVE_MODULI)  # 84 bits: one big reduction, then small ones
+
+
+def _admissible(m: int) -> frozenset[int]:
+    squares = {x * x % m for x in range(m)}
+    return frozenset(
+        r for r in range(m) if (5 * r * r - 4) % m in squares or (5 * r * r + 4) % m in squares
+    )
+
+
+_SIEVE = tuple((m, _admissible(m)) for m in _SIEVE_MODULI)
+
+
+def _sieve_rejects(beta: int) -> bool:
+    """True when a residue certifies that beta is not a Fibonacci number."""
+    r = beta % _SIEVE_PRODUCT
+    return any(r % m not in admissible for m, admissible in _SIEVE)
 
 
 class NotHippasusError(ValueError):
@@ -131,6 +165,15 @@ def successors(beta: int) -> SuccessorSet:
     """
     if type(beta) is not int or beta < 1:  # the call would cost ~7 % of a small call
         beta = _as_int(beta, "beta", 1)
+    if beta > _BIG:
+        if _sieve_rejects(beta):
+            return SuccessorSet(beta, ())
+        # For beta >= 2 an alpha in (beta, 2*beta) with residual +/-1 is the
+        # unique successor, so the residual certifies the candidate; one that
+        # fails leaves the decision to the isqrt test below.
+        alpha = _locate(beta)[2]
+        if beta < alpha < 2 * beta and beta * (beta + alpha) - alpha * alpha in (1, -1):
+            return SuccessorSet(beta, (alpha,))
     # alpha solves alpha^2 - beta*alpha - beta^2 = -/+1, so
     # alpha = (beta + sqrt(5*beta^2 -/+ 4)) / 2 -- integral iff the
     # discriminant is a perfect square of parity matching beta.  The two
@@ -183,21 +226,54 @@ def descend(beta: int) -> DescentTrace | None:
     with b == a, which forces (1, 1), so a walk of two or more steps ends in
     the pattern (2, 1, 1).  The count recovers the Fibonacci index:
     beta = fib(count), which DescentTrace re-asserts against the sequence.
+    Above 2**60 the walk starts with one jump of all but a few steps.
 
     beta = 1 returns the degenerate single-entry trace with index 0.
     """
     if type(beta) is not int or beta < 1:  # as in successors
         beta = _as_int(beta, "beta", 1)
-    if beta == 1:
-        return DescentTrace(1, 0)
     found = successors(beta).successors
-    if not found:
-        return None
-    b, a, count = beta, found[0], 0
+    return _descend_from(beta, found[0]) if found else None
+
+
+def _descend_from(beta: int, alpha: int) -> DescentTrace:
+    """The descent from a pair whose residual is +/-1, counted."""
+    b, a, count = beta, alpha, 0
+    if beta > _BIG:
+        # F(i) has about (i + 1) * log2(phi) bits, so k stops 4 or 5 steps
+        # short of (1, 1)
+        k = int(beta.bit_length() / _LOG2_PHI) - 4
+        landing = _jump(beta, alpha, k)
+        if landing is not None:
+            (b, a), count = landing, k
     while a != b:
         b, a = a - b, b
         count += 1
     return DescentTrace(beta, count)
+
+
+def _jump(b: int, a: int, k: int) -> tuple[int, int] | None:
+    """(b, a) after k >= 2 descent steps, or None unless the landing is a
+    pair in the window with residual +/-1.
+
+    One step is the matrix [[-1, 1], [1, 0]] of determinant -1, so k steps
+    compose into b_k = (-1)^k (G(k+1) b - G(k) a) and
+    a_k = (-1)^(k+1) (G(k) b - G(k-1) a), with G(k) = F(k-1) the conventional
+    Fibonacci numbers.  Batching steps of quotient 1 is Lehmer's idea
+    (Knuth, TAOCP vol. 2, 4.5.2, Algorithm L).  From (F(i), F(i+1)), k = i
+    lands on (1, 1), and every k > i leaves the positive quadrant -- (0, 1),
+    (1, 0), (-1, 1), (2, -1), ... -- so the window check rejects each
+    overshoot.
+    """
+    g_prev, g = _pair(k - 2)  # G(k-1), G(k)
+    sign = 1 if k % 2 == 0 else -1
+    b_k = sign * ((g_prev + g) * b - g * a)
+    a_k = -sign * (g * b - g_prev * a)
+    if not (0 < b_k < a_k < 2 * b_k or b_k == a_k == 1):
+        return None
+    if b_k * (b_k + a_k) - a_k * a_k not in (1, -1):
+        return None
+    return b_k, a_k
 
 
 def is_fibonacci_by_descent(beta: int) -> bool:

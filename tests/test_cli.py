@@ -113,6 +113,25 @@ class TestCheck:
         assert run_cli("check", "foo").returncode == 2
         assert run_cli("check", "0").returncode == 2
 
+    def test_searches_successors_once(self, monkeypatch, capsys):
+        from hippasus import cli, descent
+
+        calls = []
+
+        def counted(beta):
+            calls.append(beta)
+            return search(beta)
+
+        search = descent.successors
+        monkeypatch.setattr(cli, "successors", counted)
+        monkeypatch.setattr(descent, "successors", counted)
+        assert cli.main(["check", "55"]) == 0
+        assert calls == [55]
+        assert capsys.readouterr().out == (
+            "beta: 55\nstatus: hippasus\nsuccessors: 89\n"
+            "descent: 55 34 21 13 8 5 3 2 1 1\nfibonacci_index: 9\n"
+        )
+
 
 class TestDescent:
     def test_member(self):
@@ -188,6 +207,21 @@ class TestVerify:
         assert (r.returncode, r.stdout) == (0, "verify convergence: pass (n in 1..158 at 50 digits)\n")
         r = run_cli("verify", "convergence", "--bound", "1000")
         assert (r.returncode, r.stdout) == (0, "verify convergence: pass (n in 1..1000 at 224 digits)\n")
+
+    def test_convergence_in_process_past_the_digit_limit(self, capsys):
+        # F(3100) has 648 digits, more than the lowest int->str limit (640);
+        # the default limit of 4300 digits needs a bound near 20,600 (22 s)
+        from hippasus.cli import main
+
+        before = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            assert main(["verify", "convergence", "--bound", "3100"]) == 0
+        finally:
+            sys.set_int_max_str_digits(before)
+        assert capsys.readouterr() == (
+            "verify convergence: pass (n in 1..3100 at 663 digits)\n", ""
+        )
 
     def test_unknown_suite_is_usage_error(self):
         assert run_cli("verify", "collatz").returncode == 2

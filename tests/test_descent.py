@@ -3,9 +3,11 @@ import random
 import subprocess
 import sys
 from dataclasses import fields
+from math import isqrt
 
 import pytest
 
+from hippasus import descent
 from hippasus.descent import (
     DescentTrace,
     HippasusPair,
@@ -52,6 +54,58 @@ def successors_by_scan(beta: int) -> tuple[int, ...]:
         for alpha in candidates
         if beta * (beta + alpha) - alpha * alpha in (1, -1)
     )
+
+
+# prints descend's wall time on F(10^6) and on F(10^6) + 1, with its answers
+BIG_DESCENT_TIMING = """
+import time
+from hippasus import descend, fib
+
+beta = fib(10**6)
+start = time.perf_counter()
+trace = descend(beta)
+member_s = time.perf_counter() - start
+start = time.perf_counter()
+missing = descend(beta + 1)
+non_member_s = time.perf_counter() - start
+print(trace.recovered_index, missing is None, member_s, non_member_s)
+"""
+
+
+def successors_by_isqrt(beta: int) -> tuple[int, ...]:
+    """Reference: the two-isqrt closed form.  alpha = (beta + r) / 2 where r
+    is an integer root of 5*beta^2 - 4 or 5*beta^2 + 4 with beta's parity."""
+    found = []
+    for disc in (5 * beta * beta - 4, 5 * beta * beta + 4):
+        root = isqrt(disc)
+        if root * root == disc and (beta + root) % 2 == 0:
+            alpha = (beta + root) // 2
+            if alpha >= beta and beta * (beta + alpha) - alpha * alpha in (1, -1):
+                found.append(alpha)
+    return tuple(found)
+
+
+def descend_by_walk(beta: int) -> DescentTrace | None:
+    """Reference: the plain descent, one step (b, a) -> (a - b, b) at a time
+    from the closed-form successor, counted down to b == a."""
+    found = successors_by_isqrt(beta)
+    if not found:
+        return None
+    b, a, count = beta, found[0], 0
+    while a != b:
+        b, a = a - b, b
+        count += 1
+    return DescentTrace(beta, count)
+
+
+def pisano_residues(m: int) -> set[int]:
+    """Reference: every F(i) mod m, from one full period of the sequence mod m."""
+    seen, a, b = set(), 1 % m, 1 % m
+    while True:
+        seen.add(a)
+        a, b = b, (a + b) % m
+        if (a, b) == (1 % m, 1 % m):
+            return seen
 
 
 def exact_solutions_by_scan(max_beta: int) -> dict[int, int]:
@@ -152,6 +206,22 @@ class TestSuccessors:
         with pytest.raises(ValueError):
             successors(0)
 
+    def test_matches_closed_form_across_threshold(self):
+        # F(87) < 2**60 < F(88): both sides of the big-operand path
+        for i in list(range(80, 100)) + [2045, 2046, 2047, 2048, 5000]:
+            for beta in (fib(i) - 1, fib(i), fib(i) + 1, fib(i) + 2):
+                assert successors(beta).successors == successors_by_isqrt(beta), (i, beta)
+
+    def test_sieve_pass_falls_back_to_isqrt(self):
+        # a non-member just below F(100) that the sieve lets through: its
+        # candidate F(101) lies in the window, so its residual refuses it,
+        # and then the isqrt test does
+        top = fib(100)
+        beta = next(b for b in range(top - 1, top - 10**5, -1) if not descent._sieve_rejects(b))
+        assert beta < fib(101) < 2 * beta
+        assert successors(beta).successors == ()
+        assert descend(beta) is None
+
 
 class TestUniqueSuccessor:
     def test_known_values(self):
@@ -247,6 +317,22 @@ class TestDescend:
             with pytest.raises(ValueError):
                 DescentTrace(13, bad_index)
 
+    def test_matches_walk_across_threshold(self):
+        for i in list(range(2, 100)) + [2046, 2047, 2048, 5000]:
+            for beta in (fib(i) - 1, fib(i), fib(i) + 1):
+                assert descend(beta) == descend_by_walk(beta), (i, beta)
+
+    def test_big_operands_are_fast(self):
+        # the walk would take about 21 s at F(10^6)
+        run = subprocess.run(
+            [sys.executable, "-c", BIG_DESCENT_TIMING], capture_output=True, text=True
+        )
+        assert run.returncode == 0, run.stderr
+        index, missing, member_s, non_member_s = run.stdout.split()
+        assert (int(index), missing) == (10**6, "True")
+        assert float(member_s) < 5.0
+        assert float(non_member_s) < 0.1
+
     def test_descent_memory_is_bounded(self):
         # the walk holds two values at a time; a stored trace of F(10^5)
         # would hold about 0.35 * (10^5)^2 bits
@@ -259,6 +345,49 @@ class TestDescend:
         raised_kb, index = map(int, run.stdout.split())
         assert index == 10**5
         assert raised_kb < 10 * 1024
+
+
+class TestSieve:
+    def test_admits_every_fibonacci_residue(self):
+        for m, admissible in descent._SIEVE:
+            assert pisano_residues(m) <= admissible, m
+
+    def test_rejects_most_non_members(self):
+        passed = sum(not descent._sieve_rejects(beta) for beta in range(1, 10**5 + 1))
+        assert passed < 2000  # 25 of them are Fibonacci numbers
+        assert descent._sieve_rejects(fib(10**5) + 1)
+
+
+class TestJump:
+    def test_one_jump_suffices(self, monkeypatch):
+        landings = []
+
+        def spy(b, a, k):
+            landing = jump(b, a, k)
+            landings.append((k, landing))
+            return landing
+
+        jump = descent._jump
+        monkeypatch.setattr(descent, "_jump", spy)
+        for i in range(90, 5001):
+            landings.clear()
+            assert descend(fib(i)).recovered_index == i
+            [(k, landing)] = landings
+            assert landing == (fib(i - k), fib(i - k + 1)), i
+            assert i - k <= 8  # single steps after the jump
+
+    def test_overshoot_is_rejected(self):
+        # k = i lands on (1, 1); past it the walk leaves the positive quadrant
+        for i in (2, 3, 10, 90, 1000):
+            b, a = fib(i), fib(i + 1)
+            assert descent._jump(b, a, i) == (1, 1)
+            assert descent._jump(b, a, i + 1) is None  # (0, 1)
+            assert descent._jump(b, a, i + 2) is None  # (1, 0)
+
+    def test_landing_needs_unit_residual(self):
+        # two steps take (8, 13) to (3, 5) and (80, 130) to (30, 50)
+        assert descent._jump(8, 13, 2) == (3, 5)
+        assert descent._jump(80, 130, 2) is None  # (30, 50), residual -100
 
 
 class TestCassiniCorrespondence:
@@ -330,6 +459,18 @@ class TestIntegerBoundary:
         pair = extend(HippasusPair.from_beta_alpha(np.int64(fib(89)), np.int64(fib(90))))
         assert (pair.beta, pair.alpha) == (fib(90), fib(91))
         assert {type(v) for v in vars(pair).values()} == {int}
+
+    def test_numpy_integers_above_threshold(self):
+        np = pytest.importorskip("numpy")
+        assert fib(88) > descent._BIG > fib(87)
+        for i in range(88, 92):  # F(91) is the largest Fibonacci int64
+            beta = np.int64(fib(i))
+            assert successors(beta).successors == (fib(i + 1),)
+            assert descend(beta).recovered_index == i
+            assert successors(beta + 1).successors == ()
+            assert descend(beta + 1) is None
+        beta = np.int64(descent._BIG + 1)
+        assert successors(beta).successors == successors_by_isqrt(int(beta))
 
     @pytest.mark.parametrize("bad", [2.0, True, 1.5])
     def test_rejects_non_integers(self, bad):

@@ -14,6 +14,7 @@ from hippasus.descent import (  # noqa: E402
 )
 from hippasus.fibonacci import cassini_residual, fib  # noqa: E402
 from hippasus.wasteels import wasteels_residual  # noqa: E402
+from test_descent import descend_by_walk, successors_by_isqrt  # noqa: E402
 
 indices = st.integers(min_value=2, max_value=10**4)
 relaxed = settings(deadline=None)
@@ -77,3 +78,24 @@ def test_wasteels_residual_negates_hippasus(x, y):
 @given(indices)
 def test_fib_has_one_successor(i):
     assert successors(fib(i)).successors == (fib(i + 1),)
+
+
+# F(i) + d above 2**60, where successors and descend take the
+# sieve, the certified candidate and the jump
+near_big_fibs = st.builds(
+    lambda i, d: fib(i) + d,
+    st.integers(min_value=90, max_value=3000),
+    st.integers(min_value=-50, max_value=50),
+)
+
+
+@relaxed
+@given(near_big_fibs)
+def test_successors_match_closed_form(beta):
+    assert successors(beta).successors == successors_by_isqrt(beta)
+
+
+@relaxed
+@given(near_big_fibs)
+def test_descend_matches_walk(beta):
+    assert descend(beta) == descend_by_walk(beta)

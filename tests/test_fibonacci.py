@@ -6,6 +6,7 @@ import pytest
 
 from hippasus.fibonacci import (
     MAX_INDEX,
+    _locate,
     cassini_residual,
     fib,
     fib_index_of,
@@ -122,6 +123,14 @@ class TestFibIndexOf:
             assert fib_index_of(n) == (i if value == n else None)
         for i, value in values.items():
             assert fib_index_of(value) == i
+
+    def test_locate_matches_walk_through_the_table(self):
+        # the table bisection up to F(2046) and the estimate above it
+        values = [fib_by_addition(i + 1) for i in range(2051)]
+        targets = [v + d for v in values for d in (-1, 0, 1) if v + d >= 1]
+        walk = first_index_at_least(targets)
+        for n in targets:
+            assert _locate(n) == walk[n], n
 
     def test_accepts_values_beyond_max_index(self):
         beyond = fib(MAX_INDEX) + fib(MAX_INDEX - 1)  # F(MAX_INDEX + 1)
