@@ -71,7 +71,12 @@ def _cmd_descent(args: argparse.Namespace) -> int:
 
 
 def _print_descent(trace: DescentTrace) -> int:
-    print("descent:", *trace.steps)
+    # one value at a time: the whole walk from F(10**4) is 10 MB of digits
+    write = sys.stdout.write
+    write("descent:")
+    for value in trace._walk():
+        write(f" {value}")
+    write("\n")
     print(f"fibonacci_index: {trace.recovered_index}")
     return 0
 
@@ -91,9 +96,7 @@ def _cmd_wasteels(args: argparse.Namespace) -> int:
 
 def _cmd_octagon(args: argparse.Namespace) -> int:
     cfg = PrecisionConfig(digits=args.digits)
-    geo = geometry.octagon(args.n, cfg)
-    limits = geometry.octagon_limits(cfg)
-    deviations = geometry.octagon_deviations(args.n, cfg)
+    geo, limits, deviations = geometry._octagon_report(args.n, cfg)
     print(f"n: {geo.n}")
     print(f"digits: {cfg.digits}")
     print(f"p: ({geo.p[0]}, {geo.p[1]})")

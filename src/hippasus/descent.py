@@ -25,6 +25,7 @@ jump of many steps whose landing is checked the same way.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from math import isqrt, prod
 
@@ -150,11 +151,15 @@ class DescentTrace:
         """(beta_1, ..., beta_{i+1}) = (F(i), ..., F(0)), so
         steps[k+2] = steps[k] - steps[k+1] and a trace of length >= 3 ends
         in (2, 1, 1)."""
-        a, b, rising = 1, 1, []
+        return tuple(self._walk())
+
+    def _walk(self) -> Iterator[int]:
+        """F(i), F(i-1), ..., F(0), one at a time: the descent
+        (b, a) -> (a - b, b) from (F(i), F(i+1)), holding two values."""
+        b, a = _pair(self.recovered_index)
         for _ in range(self.recovered_index + 1):
-            rising.append(a)
-            a, b = b, a + b
-        return tuple(reversed(rising))
+            yield b
+            b, a = a - b, b
 
 
 def successors(beta: int) -> SuccessorSet:

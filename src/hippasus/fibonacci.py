@@ -69,9 +69,14 @@ def fib(i: int) -> int:
         i = _as_int(i, "index", 0)
     if i < len(_TABLE):
         return _TABLE[i]
+    return _pair(_in_range(i))[0]
+
+
+def _in_range(i: int) -> int:
+    """i itself, or ValueError when F(i) lies past MAX_INDEX."""
     if i > MAX_INDEX:
         raise ValueError(f"index {i} exceeds the supported range (max {MAX_INDEX})")
-    return _pair(i)[0]
+    return i
 
 
 def _locate(n: int) -> tuple[int, int, int]:

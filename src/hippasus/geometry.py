@@ -10,15 +10,29 @@ e.g. the golden ratio at 15 digits must come out 1.61803398874989, not
 ...90).  A distance to a limit also carries the digits its subtraction
 cancels, about 2*log10(F(n)).  Precision travels explicitly in a
 PrecisionConfig value; no global decimal state is touched.
+
+Square roots above a couple of hundred digits run Newton's iteration on
+division instead of ``Decimal.sqrt``, whose cost grows as the square of the
+digit count; ``_sqrt`` returns the same correctly rounded value.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
+from decimal import Decimal, getcontext, localcontext
 
-from .fibonacci import _as_int, fib
+from .fibonacci import _as_int, _in_range, _pair, fib
 
 _GUARD_DIGITS = 10
+
+# At or below this precision Decimal.sqrt is at least as fast as _sqrt's
+# Newton iteration: on a 2-vCPU VM with Python 3.11 both take 21 us at 200
+# digits, against 13 us (Decimal.sqrt) and 17 us at 150, 42 us and 28 us at
+# 300.  Every default-size CLI call carries at most 124 digits and so keeps
+# Decimal.sqrt.
+_NEWTON_DIGITS = 200
+
+_LOG10_2 = math.log10(2)
 
 
 class PrecisionTooLow(ValueError):
@@ -48,9 +62,99 @@ def _digit_count(value: int) -> int:
     return Decimal(value).adjusted() + 1
 
 
+def _sqrt(x: Decimal) -> Decimal:
+    """x.sqrt() in the current context, at the cost of a few divisions.
+
+    libmpdec's square root (CPython 3.10-3.12) is quadratic in the precision:
+    22 ms at 7,500 digits, where a division takes 1.4 ms.  Above
+    _NEWTON_DIGITS this starts from Decimal.sqrt at about 50 digits and runs
+    Newton's iteration y <- (y + x/y)/2 at precisions that double up to the
+    target plus three (Brent & Zimmermann, Modern Computer Arithmetic, 3.5),
+    rounds once, and then steps the result by one ulp until exact squares of
+    the midpoints to its neighbours bracket x, ties going to the even
+    neighbour.  The result is then the correctly rounded root under
+    ROUND_HALF_EVEN, which is what Decimal.sqrt returns, so the two are
+    equal; an exact root also gets Decimal.sqrt's exponent.
+    """
+    prec = getcontext().prec
+    if prec <= _NEWTON_DIGITS or not x > 0:
+        return x.sqrt()
+    with localcontext() as ctx:
+        ladder = []
+        step = prec + 3
+        while step > 50:
+            ladder.append(step)
+            step = step // 2 + 2  # one step takes k correct digits to about 2k
+        ctx.prec = step
+        y = x.sqrt()
+        for step in reversed(ladder):
+            ctx.prec = step
+            y = (y + (+x) / y) / 2  # x rounded to the step: a shorter division
+        ctx.prec = prec
+        r = +y
+        narrow = ctx.copy()
+        ctx.prec = 2 * prec + 10  # squares of prec + 1 digits are exact
+        # all prec digits, as an inexact Decimal.sqrt has, should an exact
+        # division have left y short; the parity test reads the last of them
+        r = r.quantize(Decimal((0, (1,), r.adjusted() - prec + 1)))
+        while True:
+            up = r.next_plus(narrow)
+            mid = (r + up) / 2
+            mid *= mid
+            if mid < x or mid == x and r.as_tuple().digits[-1] % 2:
+                r = up
+                continue
+            down = r.next_minus(narrow)
+            mid = (down + r) / 2
+            mid *= mid
+            if mid > x or mid == x and r.as_tuple().digits[-1] % 2:
+                r = down
+                continue
+            break
+        if r * r == x:  # exact: the ideal exponent is half x's, as near as prec allows
+            ideal = max(x.as_tuple().exponent // 2, r.adjusted() - prec + 1)
+            r = r.quantize(Decimal((0, (1,), ideal)))
+    return r
+
+
+def _least_digits(n: int) -> int:
+    """A lower bound on the digit count of n >= 1, off by at most one."""
+    return int((n.bit_length() - 1) * _LOG10_2) + 1
+
+
+def _to_decimal(n: int) -> Decimal:
+    """+Decimal(n) in the current context, for n >= 1, converting only a few
+    digits more than the precision.
+
+    Decimal(n) is quadratic in n's size: 8.4-9.0 ms at 20,899 digits.  With
+    n = q*10**k + r and q at least two digits longer than the precision,
+    10*q + (r != 0), scaled by 10**(k - 1), rounds exactly like n: it keeps
+    every digit the rounding reads, and its last, sticky digit is nonzero
+    just when a dropped digit is, which is all the rounding needs of them.
+    """
+    k = _least_digits(n) - getcontext().prec - 2
+    if k < 1:
+        return +Decimal(n)
+    q, r = divmod(n, 10**k)
+    return Decimal(10 * q + (r != 0)).scaleb(k - 1)
+
+
+def _half(n: int) -> Decimal:
+    """Decimal(n) / 2 in the current context for n >= 1, rounded once.
+
+    Past the precision, n/2 is the rounded 5*n shifted down one place, which
+    is also rounded once.  A shorter n is divided as it stands: its quotient
+    may be exact, and decimal gives an exact quotient the exponent of the
+    integer (4, not the shifted 4.0).
+    """
+    if _least_digits(n) <= getcontext().prec:
+        return Decimal(n) / 2
+    return _to_decimal(5 * n).scaleb(-1)
+
+
 def _golden() -> Decimal:
     """(1 + sqrt(5)) / 2 at the precision of the current decimal context."""
-    return (1 + Decimal(5).sqrt()) / 2
+    return (1 + _sqrt(Decimal(5))) / 2
 
 
 def phi(cfg: PrecisionConfig) -> Decimal:
@@ -125,31 +229,38 @@ def octagon(n: int, cfg: PrecisionConfig) -> OctagonGeometry:
     """Geometry at index n: coordinates, side lengths d and e, and the three
     tracked ratios d/F(n), d/e, e/F(n), all to cfg.digits."""
     n = _as_int(n, "n", 0)
-    f_n = fib(n)
-    f_n2 = fib(n + 2)
+    return _rounded(_octagon(n, cfg.digits + _GUARD_DIGITS), cfg.digits)
+
+
+def _octagon(n: int, prec: int) -> OctagonGeometry:
+    """The geometry at index n with every value carried at prec digits.
+
+    F(n) and F(n+2) come from one fast doubling, and each enters the decimal
+    arithmetic once, rounded to prec: F(n)/2 and F(n+2)/2 by ``_half``, and
+    F(n) as the divisor of the two ratios by ``_to_decimal``.
+    """
+    _in_range(n + 2)
+    f_n, f_n1 = _pair(n)
+    f_n2 = f_n + f_n1
     with localcontext() as ctx:
-        ctx.prec = cfg.digits + _GUARD_DIGITS
-        half_inner = Decimal(f_n) / 2
-        half_outer = Decimal(f_n2) / 2
-        p_y = (half_outer * half_outer - half_inner * half_inner).sqrt()
-        sqrt2 = Decimal(2).sqrt()
+        ctx.prec = prec
+        half_inner = _half(f_n)
+        half_outer = _half(f_n2)
+        p_y = _sqrt(half_outer * half_outer - half_inner * half_inner)
+        sqrt2 = _sqrt(Decimal(2))
         d = sqrt2 * (p_y - half_inner)
-        e = half_outer * (2 - sqrt2).sqrt()  # 2R*sin(pi/8) for diameter F(n+2)
-        r_df = d / f_n
-        r_de = d / e
-        r_ef = e / f_n
-    digits = cfg.digits
-    p = (_round_to(half_inner, digits), _round_to(p_y, digits))
-    return OctagonGeometry(
-        n=n,
-        p=p,
-        q=(p[1], p[0]),
-        d=_round_to(d, digits),
-        e=_round_to(e, digits),
-        ratio_d_over_f=_round_to(r_df, digits),
-        ratio_d_over_e=_round_to(r_de, digits),
-        ratio_e_over_f=_round_to(r_ef, digits),
-    )
+        e = half_outer * _sqrt(2 - sqrt2)  # 2R*sin(pi/8) for diameter F(n+2)
+        f = _to_decimal(f_n)
+        return OctagonGeometry(
+            n, (half_inner, p_y), (p_y, half_inner), d, e, d / f, d / e, e / f
+        )
+
+
+def _rounded(geo: OctagonGeometry, digits: int) -> OctagonGeometry:
+    """geo with every value rounded to digits."""
+    p = (_round_to(geo.p[0], digits), _round_to(geo.p[1], digits))
+    values = (geo.d, geo.e, geo.ratio_d_over_f, geo.ratio_d_over_e, geo.ratio_e_over_f)
+    return OctagonGeometry(geo.n, p, (p[1], p[0]), *(_round_to(v, digits) for v in values))
 
 
 def octagon_limits(cfg: PrecisionConfig) -> tuple[Decimal, Decimal, Decimal]:
@@ -159,17 +270,22 @@ def octagon_limits(cfg: PrecisionConfig) -> tuple[Decimal, Decimal, Decimal]:
         (sqrt(2)/sqrt(2 - sqrt(2))) * (sqrt(1 - phi**-4) - phi**-2)  ~ 1.00187
         (sqrt(2 - sqrt(2))/2) * phi**2                          ~ 1.00188
 
-    The first equals the product of the other two.
+    The first equals the product of the other two.  Since
+    phi**4 - 1 = sqrt(5) * phi**2, sqrt(phi**4 - 1) = phi * 5**(1/4) and
+    sqrt(1 - phi**-4) = 5**(1/4) / phi; with c = phi * 5**(1/4) - 1 the first
+    is (sqrt(2)/2) * c and the second (sqrt(2)/sqrt(2 - sqrt(2))) * c / phi**2,
+    which takes four square roots instead of five.
     """
     with localcontext() as ctx:
         ctx.prec = cfg.digits + _GUARD_DIGITS
-        golden = _golden()
+        sqrt5 = _sqrt(Decimal(5))
+        golden = (1 + sqrt5) / 2
         golden2 = golden * golden
-        golden4 = golden2 * golden2
-        sqrt2 = Decimal(2).sqrt()
-        root_2m = (2 - sqrt2).sqrt()
-        first = sqrt2 / 2 * ((golden4 - 1).sqrt() - 1)
-        second = sqrt2 / root_2m * ((1 - 1 / golden4).sqrt() - 1 / golden2)
+        c = golden * _sqrt(sqrt5) - 1
+        sqrt2 = _sqrt(Decimal(2))
+        root_2m = _sqrt(2 - sqrt2)
+        first = sqrt2 / 2 * c
+        second = sqrt2 / root_2m * (c / golden2)
         third = root_2m / 2 * golden2
     digits = cfg.digits
     return (_round_to(first, digits), _round_to(second, digits), _round_to(third, digits))
@@ -182,11 +298,26 @@ def octagon_deviations(n: int, cfg: PrecisionConfig) -> tuple[Decimal, Decimal, 
     cancels about 2*log10(F(n)) digits; both sides carry that many more,
     plus the guard digits.
     """
+    return _octagon_report(n, cfg)[2]
+
+
+def _octagon_report(
+    n: int, cfg: PrecisionConfig
+) -> tuple[OctagonGeometry, tuple[Decimal, Decimal, Decimal], tuple[Decimal, Decimal, Decimal]]:
+    """octagon(n, cfg), octagon_limits(cfg) and octagon_deviations(n, cfg),
+    all from one pass at the deviations' wide precision, rounded to cfg.digits."""
     n = _as_int(n, "n", 0)
+    _in_range(n + 2)  # before the digit count, which takes a second at F(10**6)
     wide = PrecisionConfig(cfg.digits + _GUARD_DIGITS + 2 * _digit_count(fib(n)))
     geo = octagon(n, wide)
+    limits = octagon_limits(wide)
     ratios = (geo.ratio_d_over_f, geo.ratio_d_over_e, geo.ratio_e_over_f)
     with localcontext() as ctx:
         ctx.prec = wide.digits  # exact: both sides have wide.digits digits near 1
-        deviations = [ratio - limit for ratio, limit in zip(ratios, octagon_limits(wide))]
-    return tuple(_round_to(deviation, cfg.digits) for deviation in deviations)
+        deviations = [ratio - limit for ratio, limit in zip(ratios, limits)]
+    digits = cfg.digits
+    return (
+        _rounded(geo, digits),
+        tuple(_round_to(limit, digits) for limit in limits),
+        tuple(_round_to(deviation, digits) for deviation in deviations),
+    )

@@ -3,7 +3,10 @@ import io
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
+
+import pytest
 
 GOLDEN = Path(__file__).parent / "golden" / "table_max_beta_1000.txt"
 
@@ -140,6 +143,27 @@ class TestDescent:
         assert "descent: 13 8 5 3 2 1 1" in r.stdout
         assert "fibonacci_index: 6" in r.stdout
 
+    @pytest.mark.parametrize("command", ["check", "descent"])
+    def test_walk_is_streamed(self, command, monkeypatch, capsys):
+        # the walk prints value by value; the whole steps tuple is never built
+        from hippasus import cli
+        from hippasus.descent import DescentTrace
+
+        def unbuilt(self):
+            raise AssertionError("steps built")
+
+        monkeypatch.setattr(DescentTrace, "steps", property(unbuilt))
+        a, b = 1, 1
+        for _ in range(300):
+            a, b = b, a + b
+        walk, x, y = [], a, b
+        while len(walk) < 301:
+            walk.append(x)
+            x, y = y - x, x
+        assert cli.main([command, str(a)]) == 0
+        out = capsys.readouterr().out
+        assert f"descent: {' '.join(map(str, walk))}\nfibonacci_index: 300\n" in out
+
     def test_non_member(self):
         assert run_cli("descent", "12").returncode == 1
 
@@ -162,6 +186,26 @@ class TestWasteels:
 
 
 class TestOctagon:
+    @pytest.mark.parametrize("args, name", [
+        (("octagon", "--n", "1000", "--digits", "200"), "octagon_n_1000_digits_200.txt"),
+        (("phi-convergence", "--n-max", "300", "--digits", "80"),
+         "phi_convergence_n_max_300_digits_80.txt"),
+    ])
+    def test_golden_bytes_on_the_newton_path(self, args, name):
+        # files written by the Decimal.sqrt chain; these precisions (210 to
+        # 648 digits) take the Newton square root
+        r = run_cli(*args)
+        assert r.returncode == 0
+        assert r.stdout == (GOLDEN.parent / name).read_text()
+
+    def test_index_of_a_hundred_thousand_in_under_two_and_a_half_seconds(self):
+        # 3.7 s with Decimal.sqrt, whole-operand conversions and two passes
+        t0 = time.perf_counter()
+        r = run_cli("octagon", "--n", "100000", timeout=60)
+        elapsed = time.perf_counter() - t0
+        assert r.returncode == 0 and r.stdout.startswith("n: 100000\n")
+        assert elapsed < 2.5, elapsed
+
     def test_report(self):
         r = run_cli("octagon", "--n", "40", "--digits", "50")
         assert r.returncode == 0

@@ -1,3 +1,5 @@
+import random
+import time
 from decimal import Decimal, localcontext
 
 import mpmath
@@ -5,8 +7,11 @@ import pytest
 
 from hippasus.fibonacci import fib
 from hippasus.geometry import (
+    OctagonGeometry,
     PrecisionConfig,
     PrecisionTooLow,
+    _octagon_report,
+    _round_to,
     convergence_table,
     octagon,
     octagon_deviations,
@@ -220,3 +225,94 @@ class TestOctagonDeviations:
         # near 1e-17, 1e-84 and 1e-209: each still shows 50 significant digits
         for value in octagon_deviations(n, PrecisionConfig(digits=50)):
             assert len(value.as_tuple().digits) == 50
+
+
+# The package's former chain, kept as the oracle: every root by Decimal.sqrt,
+# every Fibonacci operand converted whole, five roots for the limits.
+
+def octagon_by_chain(n: int, cfg: PrecisionConfig) -> OctagonGeometry:
+    f_n, f_n2 = fib(n), fib(n + 2)
+    with localcontext() as ctx:
+        ctx.prec = cfg.digits + 10
+        half_inner = Decimal(f_n) / 2
+        half_outer = Decimal(f_n2) / 2
+        p_y = (half_outer * half_outer - half_inner * half_inner).sqrt()
+        sqrt2 = Decimal(2).sqrt()
+        d = sqrt2 * (p_y - half_inner)
+        e = half_outer * (2 - sqrt2).sqrt()
+        r_df, r_de, r_ef = d / f_n, d / e, e / f_n
+    p = (_round_to(half_inner, cfg.digits), _round_to(p_y, cfg.digits))
+    rest = (_round_to(v, cfg.digits) for v in (d, e, r_df, r_de, r_ef))
+    return OctagonGeometry(n, p, (p[1], p[0]), *rest)
+
+
+def limits_by_chain(cfg: PrecisionConfig) -> tuple[Decimal, Decimal, Decimal]:
+    with localcontext() as ctx:
+        ctx.prec = cfg.digits + 10
+        golden = (1 + Decimal(5).sqrt()) / 2
+        golden2 = golden * golden
+        golden4 = golden2 * golden2
+        sqrt2 = Decimal(2).sqrt()
+        root_2m = (2 - sqrt2).sqrt()
+        first = sqrt2 / 2 * ((golden4 - 1).sqrt() - 1)
+        second = sqrt2 / root_2m * ((1 - 1 / golden4).sqrt() - 1 / golden2)
+        third = root_2m / 2 * golden2
+    return tuple(_round_to(v, cfg.digits) for v in (first, second, third))
+
+
+class TestAgainstTheDecimalSqrtChain:
+    """Newton roots, rounded operands and the four-root limits give the
+    digits of the plain chain, below and above the Newton threshold."""
+
+    def test_limits_at_every_digit_count(self):
+        for digits in range(15, 401):
+            cfg = PrecisionConfig(digits)
+            assert repr(octagon_limits(cfg)) == repr(limits_by_chain(cfg)), digits
+
+    def test_octagon_on_a_sample(self):
+        rng = random.Random(8)
+        for digits in range(15, 401):
+            cfg = PrecisionConfig(digits)
+            sample = [rng.randrange(0, 200), rng.randrange(200, 2000)]
+            if digits % 10 == 0:
+                sample.append(rng.randrange(2000, 21001))
+            for n in sample:
+                assert repr(octagon(n, cfg)) == repr(octagon_by_chain(n, cfg)), (n, digits)
+
+    @pytest.mark.parametrize("digits", [15, 50, 1000])
+    def test_operands_longer_than_the_precision(self, digits):
+        # F(10**5) has 20,899 digits: rounded on entry, not converted whole
+        cfg = PrecisionConfig(digits)
+        assert repr(octagon(100_000, cfg)) == repr(octagon_by_chain(100_000, cfg))
+
+
+class TestOctagonReport:
+    def test_one_wide_pass_rounds_like_the_narrow_one(self):
+        for digits in (15, 20, 35, 50, 60, 124):
+            cfg = PrecisionConfig(digits)
+            for n in (0, 1, 2, 3, 9, 40, 41, 100, 199, 500, 1000, 5000):
+                geo, limits, deviations = _octagon_report(n, cfg)
+                assert repr(geo) == repr(octagon(n, cfg)), (n, digits)
+                assert repr(limits) == repr(octagon_limits(cfg))
+                assert repr(deviations) == repr(octagon_deviations(n, cfg))
+
+    def test_refuses_an_index_past_the_range_at_once(self):
+        # the digit count of F(999,999) alone would take about a second
+        for call in (octagon, octagon_deviations, _octagon_report):
+            t0 = time.perf_counter()
+            with pytest.raises(ValueError, match="index 1000001 exceeds"):
+                call(999_999, PrecisionConfig())
+            assert time.perf_counter() - t0 < 0.5
+
+
+def test_limits_at_ten_thousand_digits_take_under_a_tenth_of_a_second():
+    # 236 ms with Decimal.sqrt and five roots, on a 2-vCPU VM
+    cfg = PrecisionConfig(10**4)
+    elapsed = min(_timed(octagon_limits, cfg) for _ in range(3))
+    assert elapsed < 0.1, elapsed
+
+
+def _timed(call, *args) -> float:
+    t0 = time.perf_counter()
+    call(*args)
+    return time.perf_counter() - t0

@@ -1,7 +1,20 @@
 """Hypothesis properties of the golden-ratio convergence table against a
 closed form kept out of the package, so the suite does not check it against
-itself."""
-from decimal import Decimal, localcontext
+itself, and of geometry's square root and integer conversion against
+decimal's own."""
+import sys
+from decimal import (
+    ROUND_05UP,
+    ROUND_CEILING,
+    ROUND_DOWN,
+    ROUND_FLOOR,
+    ROUND_HALF_DOWN,
+    ROUND_HALF_EVEN,
+    ROUND_HALF_UP,
+    ROUND_UP,
+    Decimal,
+    localcontext,
+)
 
 import pytest
 
@@ -9,7 +22,13 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from hippasus.fibonacci import fib  # noqa: E402
-from hippasus.geometry import PrecisionConfig, convergence_table  # noqa: E402
+from hippasus.geometry import (  # noqa: E402
+    PrecisionConfig,
+    _half,
+    _sqrt,
+    _to_decimal,
+    convergence_table,
+)
 
 
 @st.composite
@@ -35,3 +54,111 @@ def test_error_column_matches_closed_form(request):
             ulp = Decimal(10) ** (row.error.adjusted() - digits + 1)
             assert abs(row.error - expected) <= ulp, row.n
             power *= golden
+
+
+# --- the square root and the rounded conversion against decimal's own -------
+
+def _digits(rng, most: int) -> int:
+    """An integer of 1..most digits, length and digits drawn evenly (the
+    integers hypothesis draws itself stay short)."""
+    length = rng.randint(1, most)
+    return rng.randrange(10 ** (length - 1), 10**length)
+
+
+@st.composite
+def radicands(draw):
+    """(precision, x): x of any length and a wide exponent range, including
+    exact squares (with and without padding zeros) and values below 1."""
+    prec = draw(st.integers(min_value=15, max_value=3000))
+    rng = draw(st.randoms(use_true_random=True))
+    kind = draw(st.sampled_from(["any", "square", "below_one"]))
+    with localcontext() as ctx:
+        ctx.prec = 2 * prec + 50  # every value below is exact
+        if kind == "square":
+            root = Decimal(_digits(rng, prec)).scaleb(draw(st.integers(-400, 400)))
+            x = root * root
+            padding = draw(st.integers(min_value=0, max_value=40))
+            return prec, x.quantize(Decimal((0, (1,), x.as_tuple().exponent - padding)))
+        coefficient = Decimal(_digits(rng, 2 * prec + 20))
+        if kind == "below_one":
+            exponent = -coefficient.adjusted() - draw(st.integers(min_value=1, max_value=2000))
+        else:
+            exponent = draw(st.integers(min_value=-2000, max_value=2000))
+        return prec, coefficient.scaleb(exponent)
+
+
+# Decimal.sqrt rounds half-even whatever the context's rounding; under the
+# other modes _sqrt's first rounding lands an ulp off about half the time,
+# which leaves the result to the exact correction
+ROUNDINGS = (ROUND_HALF_EVEN, ROUND_DOWN, ROUND_UP, ROUND_CEILING, ROUND_FLOOR,
+             ROUND_HALF_UP, ROUND_HALF_DOWN, ROUND_05UP)
+
+
+@settings(deadline=None, max_examples=150)
+@given(radicands(), st.sampled_from(ROUNDINGS))
+def test_sqrt_is_decimal_sqrt(case, rounding):
+    # both are the correctly rounded root, ties to even, so they are equal,
+    # and an exact root keeps decimal's ideal exponent
+    prec, x = case
+    with localcontext() as ctx:
+        ctx.prec = prec
+        ctx.rounding = rounding
+        assert repr(_sqrt(x)) == repr(x.sqrt())
+
+
+@pytest.mark.parametrize("rounding", ROUNDINGS)
+def test_sqrt_ties_go_to_even(rounding):
+    # x = m**2 for an m of prec + 1 digits ending in 5: the root is a midpoint
+    for prec in (250, 1000):
+        for tail in (5, 15, 25, 95, 99995):
+            with localcontext() as ctx:
+                ctx.prec = 3 * prec
+                m = Decimal(10**prec + tail).scaleb(-prec)
+                x = m * m
+                ctx.prec = prec
+                ctx.rounding = rounding
+                assert repr(_sqrt(x)) == repr(x.sqrt()), (prec, tail)
+
+
+def _edge_integers(k: int) -> list[int]:
+    """10**k, 5*10**k and their neighbours, and the integers from 10**k up
+    to the next power of two, whose digit count the bit-length estimate
+    puts one too low."""
+    power, top = 10**k, 1 << (10**k).bit_length()
+    return [power - 1, power, power + 1, 5 * power - 1, 5 * power, 5 * power + 1,
+            top - 1, (power + top) // 2]
+
+
+@st.composite
+def conversions(draw):
+    prec = draw(st.integers(min_value=15, max_value=3000))
+    if draw(st.booleans()):
+        k = draw(st.integers(min_value=1, max_value=3 * prec))
+        return prec, draw(st.sampled_from(_edge_integers(k)))
+    return prec, _digits(draw(st.randoms(use_true_random=True)), 3 * prec)
+
+
+@settings(deadline=None, max_examples=150)
+@given(conversions())
+def test_rounded_conversion_is_decimal_rounding(case):
+    prec, n = case
+    with localcontext() as ctx:
+        ctx.prec = prec
+        assert repr(_to_decimal(n)) == repr(+Decimal(n))
+        assert repr(_half(n)) == repr(Decimal(n) / 2)
+
+
+def test_rounded_conversion_of_a_hundred_thousand_digits():
+    # near 10**100000; the limit is lifted only so that a failure can print n
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        for n in [fib(478_000)] + _edge_integers(100_000)[:3]:
+            exact = Decimal(n)  # 0.2 s: convert once
+            for prec in (15, 60, 1000):
+                with localcontext() as ctx:
+                    ctx.prec = prec
+                    assert repr(_to_decimal(n)) == repr(+exact)
+                    assert repr(_half(n)) == repr(exact / 2)
+    finally:
+        sys.set_int_max_str_digits(before)
