@@ -11,13 +11,12 @@ import sys
 from . import geometry, table
 from .descent import (
     DescentTrace,
-    _descend_from,
     descend,
     find_exact_solution,
     is_fibonacci_by_descent,
     successors,
 )
-from .fibonacci import cassini_residual, fib
+from .fibonacci import _in_range, cassini_residual, fib, fib_index_of
 from .geometry import PrecisionConfig, PrecisionTooLow, _digit_count, convergence_table
 from .wasteels import classify
 
@@ -59,7 +58,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         return 1
     print("status: hippasus")
     print("successors:", " ".join(str(a) for a in found))
-    return _print_descent(_descend_from(beta, found[0]))
+    return _print_descent(DescentTrace(beta, fib_index_of(beta)))
 
 
 def _cmd_descent(args: argparse.Namespace) -> int:
@@ -122,6 +121,9 @@ def _cmd_phi_convergence(args: argparse.Namespace) -> int:
 
 
 def _verify_cassini(bound: int) -> int:
+    # the last residual needs F(bound + 2): refuse an unreachable bound now,
+    # not after hours of smaller residuals
+    _in_range(bound + 2)
     for i in range(bound + 1):
         expected = 1 if i % 2 == 0 else -1
         got = cassini_residual(i)

@@ -9,19 +9,20 @@ directions:
 * ``successors`` finds the witnesses.  Every beta >= 2 has at most one
   successor, and it lies strictly inside the window (beta, 2*beta); beta = 1
   is the one ambiguous case, with successors {1, 2}.
-* ``descend`` runs the subtractive descent (beta, alpha) -> (alpha - beta,
-  beta).  Each step keeps the residual at magnitude 1 while flipping its
-  sign, and the first components decrease strictly, so the walk is forced
-  down to the terminal pattern (2, 1, 1).  Counting the steps recovers the
-  Fibonacci index of the starting value.
+* ``descend`` decides membership by the successor search and returns the
+  subtractive descent (beta, alpha) -> (alpha - beta, beta) from beta = F(i).
+  Each step keeps the residual at magnitude 1 while flipping its sign, and
+  the first components decrease strictly, so the walk visits F(i), ..., F(0)
+  and ends in the terminal pattern (2, 1, 1): it is fixed by i.  The index
+  comes from the index lookup and ``DescentTrace`` certifies it by
+  fib(i) == beta; ``steps`` and the CLI run the paper's step.
 * ``verify_no_exact_solution`` is the bounded sanity check that the residual
   is never exactly 0 -- the integer shadow of the incommensurability of a
   regular pentagon's side and diagonal.
 
-Above 2**60 the first two take a sub-quadratic path whose every answer is
+Above 2**60 ``successors`` takes a sub-quadratic path whose every answer is
 certified without the sequence: a "no" by a residue sieve or an isqrt test,
-a "yes" by a residual of +1 or -1 inside the window, and the descent by one
-jump of many steps whose landing is checked the same way.
+a "yes" by a residual of +1 or -1 inside the window.
 """
 from __future__ import annotations
 
@@ -29,12 +30,12 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from math import isqrt, prod
 
-from .fibonacci import _LOG2_PHI, _as_int, _locate, _pair, fib
+from .fibonacci import _as_int, _locate, _pair, fib, fib_index_of
 
-# Above this beta, successors and descend take the big-operand path (sieve,
-# certified candidate, one jump).  The two paths break even near 2**60: there
-# a member's successors costs about 1 us more on the new path, its descent
-# and every rejection less, and the gap widens with beta.
+# Above this beta, successors takes the big-operand path (sieve, certified
+# candidate).  A measured size selection: below it the two-isqrt test is the
+# cheaper (1.3-1.9 us a call for beta near 10^5, against 2.1-2.5 us on the
+# sieve path, on a 2-vCPU VM); above it isqrt's quadratic cost grows with beta.
 _BIG = 1 << 60
 
 # If beta is a Fibonacci number, 5*beta**2 - 4 or 5*beta**2 + 4 is a square,
@@ -224,61 +225,19 @@ def extend(pair: HippasusPair) -> HippasusPair:
 
 
 def descend(beta: int) -> DescentTrace | None:
-    """Decide membership by subtractive descent; None means not Hippasus.
+    """Decide membership by the successor search; None means not Hippasus.
 
-    From the successor alpha of beta, iterate (b, a) -> (a - b, b) and count
-    the steps.  The first components decrease strictly until the walk closes
-    with b == a, which forces (1, 1), so a walk of two or more steps ends in
-    the pattern (2, 1, 1).  The count recovers the Fibonacci index:
-    beta = fib(count), which DescentTrace re-asserts against the sequence.
-    Above 2**60 the walk starts with one jump of all but a few steps.
-
+    A member's descent is the walk F(i), ..., F(0), fixed by i.  For beta >= 2
+    the +/-1 residual in the window certifies that beta is a Fibonacci number,
+    so the index lookup gives F(i) = beta, and DescentTrace re-asserts
+    fib(i) == beta.  ``steps`` and the CLI run the paper's step from F(i).
     beta = 1 returns the degenerate single-entry trace with index 0.
     """
     if type(beta) is not int or beta < 1:  # as in successors
         beta = _as_int(beta, "beta", 1)
-    found = successors(beta).successors
-    return _descend_from(beta, found[0]) if found else None
-
-
-def _descend_from(beta: int, alpha: int) -> DescentTrace:
-    """The descent from a pair whose residual is +/-1, counted."""
-    b, a, count = beta, alpha, 0
-    if beta > _BIG:
-        # F(i) has about (i + 1) * log2(phi) bits, so k stops 4 or 5 steps
-        # short of (1, 1)
-        k = int(beta.bit_length() / _LOG2_PHI) - 4
-        landing = _jump(beta, alpha, k)
-        if landing is not None:
-            (b, a), count = landing, k
-    while a != b:
-        b, a = a - b, b
-        count += 1
-    return DescentTrace(beta, count)
-
-
-def _jump(b: int, a: int, k: int) -> tuple[int, int] | None:
-    """(b, a) after k >= 2 descent steps, or None unless the landing is a
-    pair in the window with residual +/-1.
-
-    One step is the matrix [[-1, 1], [1, 0]] of determinant -1, so k steps
-    compose into b_k = (-1)^k (G(k+1) b - G(k) a) and
-    a_k = (-1)^(k+1) (G(k) b - G(k-1) a), with G(k) = F(k-1) the conventional
-    Fibonacci numbers.  Batching steps of quotient 1 is Lehmer's idea
-    (Knuth, TAOCP vol. 2, 4.5.2, Algorithm L).  From (F(i), F(i+1)), k = i
-    lands on (1, 1), and every k > i leaves the positive quadrant -- (0, 1),
-    (1, 0), (-1, 1), (2, -1), ... -- so the window check rejects each
-    overshoot.
-    """
-    g_prev, g = _pair(k - 2)  # G(k-1), G(k)
-    sign = 1 if k % 2 == 0 else -1
-    b_k = sign * ((g_prev + g) * b - g * a)
-    a_k = -sign * (g * b - g_prev * a)
-    if not (0 < b_k < a_k < 2 * b_k or b_k == a_k == 1):
+    if not successors(beta).successors:
         return None
-    if b_k * (b_k + a_k) - a_k * a_k not in (1, -1):
-        return None
-    return b_k, a_k
+    return DescentTrace(beta, fib_index_of(beta))
 
 
 def is_fibonacci_by_descent(beta: int) -> bool:

@@ -1,14 +1,24 @@
 import csv
+import hashlib
 import io
 import json
+import os
+import re
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
 GOLDEN = Path(__file__).parent / "golden" / "table_max_beta_1000.txt"
+
+# one CLI call a line: argv <TAB> exit code <TAB> sha256(stdout) <TAB> sha256(stderr),
+# recorded from `python -m hippasus` subprocesses; regenerate with
+# `PYTHONPATH=src python tests/test_cli.py --write-manifest`
+MANIFEST = GOLDEN.parent / "cli_manifest.txt"
+_BIG_TOKEN = re.compile(r"(?:F\((\d+)\)|(\d+)\*\*(\d+))([+-]\d+)?")
 
 
 def run_cli(*args: str, timeout: float | None = None) -> subprocess.CompletedProcess:
@@ -267,6 +277,19 @@ class TestVerify:
             "verify convergence: pass (n in 1..3100 at 663 digits)\n", ""
         )
 
+    def test_unreachable_cassini_bound_is_refused_at_once(self, capsys):
+        # the last residual needs F(1000001); the refusal must come before
+        # the loop, whose smaller residuals alone would take hours
+        from hippasus.cli import main
+
+        t0 = time.perf_counter()
+        assert main(["verify", "cassini", "--bound", "999999"]) == 2
+        assert time.perf_counter() - t0 < 1.0
+        assert capsys.readouterr() == (
+            "", "error: index 1000001 exceeds the supported range (max 1000000)\n"
+        )
+        assert main(["verify", "cassini", "--bound", "20"]) == 0
+
     def test_unknown_suite_is_usage_error(self):
         assert run_cli("verify", "collatz").returncode == 2
 
@@ -278,3 +301,77 @@ class TestVerify:
 
 def test_no_subcommand_is_usage_error():
     assert run_cli().returncode == 2
+
+
+def expand(token: str) -> str:
+    """A manifest argument: F(n) or b**e, each optionally +d or -d, names
+    that integer; any other token stands for itself."""
+    match = _BIG_TOKEN.fullmatch(token)
+    if match is None:
+        return token
+    index, base, exponent, offset = match.groups()
+    if index is not None:
+        value, following = 1, 1  # F(n) by plain addition
+        for _ in range(int(index)):
+            value, following = following, value + following
+    else:
+        value = int(base) ** int(exponent)
+    return str(value + int(offset or 0))
+
+
+def manifest_calls() -> list[list[str]]:
+    """The manifest's lines as fields; an empty argv is a call with no arguments."""
+    return [
+        line.split("\t")
+        for line in MANIFEST.read_text().splitlines()
+        if line and not line.startswith("#")
+    ]
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_manifest_replays_byte_identical_in_process(monkeypatch):
+    # every recorded call, through main() in this process: same exit code,
+    # same stdout bytes, same stderr bytes (--help wraps at COLUMNS)
+    from hippasus.cli import main
+
+    monkeypatch.setenv("COLUMNS", "80")
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # as entry() does
+    calls, mismatches = manifest_calls(), []
+    try:
+        for text, *recorded in calls:
+            argv = [expand(token) for token in text.split()]
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # argparse: usage errors and --help
+                    code = exc.code
+            got = [str(code), _sha256(out.getvalue().encode()), _sha256(err.getvalue().encode())]
+            if got != recorded:
+                mismatches.append((text, recorded, got))
+    finally:
+        sys.set_int_max_str_digits(before)
+    assert len(calls) >= 80
+    assert not mismatches
+
+
+def write_manifest() -> None:
+    """Rerun the argv column of the manifest as subprocesses and rewrite the rest."""
+    lines = ["# argv\texit\tsha256(stdout)\tsha256(stderr); "
+             "F(n) and b**e, optionally +d or -d, stand for that integer"]
+    for text, *_ in manifest_calls():
+        run = subprocess.run(
+            [sys.executable, "-m", "hippasus", *(expand(t) for t in text.split())],
+            capture_output=True,
+            env={**os.environ, "COLUMNS": "80"},
+        )
+        lines.append("\t".join([text, str(run.returncode), _sha256(run.stdout), _sha256(run.stderr)]))
+    MANIFEST.write_text("\n".join(lines) + "\n")
+
+
+if __name__ == "__main__" and sys.argv[1:] == ["--write-manifest"]:
+    write_manifest()

@@ -297,7 +297,7 @@ class TestDescend:
             assert len(steps) <= trace.recovered_index + 1
 
     def test_index_recovery_matches_sequence(self):
-        for i in range(2, 91):
+        for i in range(2, 5001):
             trace = descend(fib(i))
             assert trace is not None
             assert trace.recovered_index == i
@@ -318,7 +318,8 @@ class TestDescend:
                 DescentTrace(13, bad_index)
 
     def test_matches_walk_across_threshold(self):
-        for i in list(range(2, 100)) + [2046, 2047, 2048, 5000]:
+        # every i across the index lookup's switch from bisect to estimate at F(2046)
+        for i in list(range(2, 2101)) + [5000, 10**4]:
             for beta in (fib(i) - 1, fib(i), fib(i) + 1):
                 assert descend(beta) == descend_by_walk(beta), (i, beta)
 
@@ -356,38 +357,6 @@ class TestSieve:
         passed = sum(not descent._sieve_rejects(beta) for beta in range(1, 10**5 + 1))
         assert passed < 2000  # 25 of them are Fibonacci numbers
         assert descent._sieve_rejects(fib(10**5) + 1)
-
-
-class TestJump:
-    def test_one_jump_suffices(self, monkeypatch):
-        landings = []
-
-        def spy(b, a, k):
-            landing = jump(b, a, k)
-            landings.append((k, landing))
-            return landing
-
-        jump = descent._jump
-        monkeypatch.setattr(descent, "_jump", spy)
-        for i in range(90, 5001):
-            landings.clear()
-            assert descend(fib(i)).recovered_index == i
-            [(k, landing)] = landings
-            assert landing == (fib(i - k), fib(i - k + 1)), i
-            assert i - k <= 8  # single steps after the jump
-
-    def test_overshoot_is_rejected(self):
-        # k = i lands on (1, 1); past it the walk leaves the positive quadrant
-        for i in (2, 3, 10, 90, 1000):
-            b, a = fib(i), fib(i + 1)
-            assert descent._jump(b, a, i) == (1, 1)
-            assert descent._jump(b, a, i + 1) is None  # (0, 1)
-            assert descent._jump(b, a, i + 2) is None  # (1, 0)
-
-    def test_landing_needs_unit_residual(self):
-        # two steps take (8, 13) to (3, 5) and (80, 130) to (30, 50)
-        assert descent._jump(8, 13, 2) == (3, 5)
-        assert descent._jump(80, 130, 2) is None  # (30, 50), residual -100
 
 
 class TestCassiniCorrespondence:
