@@ -348,6 +348,24 @@ class TestDescend:
         assert raised_kb < 10 * 1024
 
 
+class TestJump:
+    def test_one_jump_suffices(self, monkeypatch):
+        # the index comes from one certified lookup of beta itself, no walk
+        lookups = []
+
+        def spy(b):
+            index = lookup(b)
+            lookups.append((b, index))
+            return index
+
+        lookup = descent.fib_index_of
+        monkeypatch.setattr(descent, "fib_index_of", spy)
+        for i in range(90, 5001):
+            lookups.clear()
+            assert descend(fib(i)).recovered_index == i
+            assert lookups == [(fib(i), i)], i
+
+
 class TestSieve:
     def test_admits_every_fibonacci_residue(self):
         for m, admissible in descent._SIEVE:
