@@ -134,7 +134,22 @@ def _verify_cassini(bound: int) -> int:
     return 0
 
 
+# The largest bounds equivalence and parity accept.  A beta costs 2.3-4.9 us
+# and 0.13-0.24 us at small bounds on a 2-vCPU VM (Python 3.11), about 1.3
+# and 3 times that near the ceilings (5*beta**2 outgrows 64 bits above
+# 1.9e9), so a run at either ceiling takes 25-50 minutes; a larger bound is
+# refused before the loop, not run for days.
+_EQUIVALENCE_CEILING = 500_000_000
+_PARITY_CEILING = 5_000_000_000
+
+
+def _within(bound: int, ceiling: int, suite: str) -> None:
+    if bound > ceiling:
+        raise ValueError(f"verify {suite}: bound {bound} exceeds the ceiling (max {ceiling})")
+
+
 def _verify_equivalence(bound: int) -> int:
+    _within(bound, _EQUIVALENCE_CEILING, "equivalence")
     members = set()
     a, b = 1, 1
     while a <= bound:
@@ -157,6 +172,7 @@ def _verify_equivalence(bound: int) -> int:
 
 
 def _verify_parity(bound: int) -> int:
+    _within(bound, _PARITY_CEILING, "parity")
     hit = find_exact_solution(bound)
     if hit is not None:
         print(f"verify parity: FAIL: beta={hit[0]}, alpha={hit[1]} solves beta*(beta+alpha)=alpha^2")

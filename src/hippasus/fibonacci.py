@@ -45,19 +45,27 @@ def _as_int(value: object, name: str, minimum: int | None = None) -> int:
 
 
 def _pair(i: int) -> tuple[int, int]:
-    """(F(i), F(i+1)) by fast doubling: O(log i) multiplications, nothing stored.
+    """(F(i), F(i+1)) by fast doubling: two squarings a bit, nothing stored.
 
     With the conventional G(0) = 0, G(1) = 1 we have F(i) = G(i+1).  Each bit
-    of i + 1, most significant first, takes (G(k), G(k+1)) to (G(2k), G(2k+1))
-    or (G(2k+1), G(2k+2)) by G(2k) = G(k)*(2*G(k+1) - G(k)) and
-    G(2k+1) = G(k)**2 + G(k+1)**2 (Knuth, TAOCP vol. 2, 4.6.3).
+    of i + 1, most significant first, takes (G(k-1), G(k)) to (G(2k-1), G(2k))
+    or (G(2k), G(2k+1)) by G(2k-1) = G(k)**2 + G(k-1)**2,
+    G(2k+1) = 4*G(k)**2 - G(k-1)**2 + 2*(-1)**k and G(2k) = G(2k+1) - G(2k-1):
+    the recurrence of GMP's mpz_fib2_ui, a form of the doubling identities
+    in Knuth, TAOCP vol. 2, 4.6.3.  CPython squares faster than it
+    multiplies, and the classic step takes a product and two squarings.
     """
-    a, b = 0, 1
+    a, b = 1, 0  # G(k-1), G(k) at k = 0
+    sign = 2  # 2*(-1)**k
     for bit in bin(i + 1)[2:]:
-        c = a * (2 * b - a)
-        d = a * a + b * b
-        a, b = (d, c + d) if bit == "1" else (c, d)
-    return a, b
+        aa, bb = a * a, b * b
+        low = aa + bb  # G(2k-1)
+        high = 4 * bb - aa + sign  # G(2k+1)
+        if bit == "1":
+            a, b, sign = high - low, high, -2
+        else:
+            a, b, sign = low, high - low, 2
+    return b, a + b
 
 
 def fib(i: int) -> int:

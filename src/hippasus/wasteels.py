@@ -9,9 +9,9 @@ from .fibonacci import _as_int, _locate, is_consecutive_fib
 
 
 def wasteels_residual(x: int, y: int) -> int:
-    """y**2 - x*y - x**2, exact."""
+    """y**2 - x*y - x**2, exact, as y*(y - x) - x*x: two products, not three."""
     x, y = _as_int(x, "x", 1), _as_int(y, "y", 1)
-    return y * y - x * y - x * x
+    return y * (y - x) - x * x
 
 
 @dataclass(frozen=True)
@@ -38,7 +38,7 @@ def classify(x: int, y: int) -> WasteelsVerdict:
     # the calls would cost ~25 % of a small call
     if type(x) is not int or type(y) is not int or x < 1 or y < 1:
         x, y = _as_int(x, "x", 1), _as_int(y, "y", 1)
-    residual = y * y - x * y - x * x
+    residual = y * (y - x) - x * x  # as in wasteels_residual
     if x > y or (residual != 1 and residual != -1):
         return WasteelsVerdict(x, y, residual, False, None)
     if x == 1:

@@ -290,6 +290,31 @@ class TestVerify:
         )
         assert main(["verify", "cassini", "--bound", "20"]) == 0
 
+    @pytest.mark.parametrize(
+        "suite, ceiling", [("equivalence", 500_000_000), ("parity", 5_000_000_000)]
+    )
+    def test_unreachable_bound_is_refused_at_once(self, monkeypatch, capsys, suite, ceiling):
+        # a run past the ceiling would take hours (10**12 betas of
+        # equivalence: about two months); the refusal comes before the loop,
+        # whose per-beta calls here fail at once rather than run for hours
+        from hippasus import cli
+
+        def loop_started(*args):
+            raise AssertionError("the loop started")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(cli, "is_fibonacci_by_descent", loop_started)
+            patched.setattr(cli, "find_exact_solution", loop_started)
+            for bound in (ceiling + 1, 10**12):
+                t0 = time.perf_counter()
+                assert cli.main(["verify", suite, "--bound", str(bound)]) == 2
+                assert time.perf_counter() - t0 < 1.0
+                assert capsys.readouterr() == (
+                    "", f"error: verify {suite}: bound {bound} exceeds the ceiling (max {ceiling})\n"
+                )
+        assert cli.main(["verify", suite, "--bound", "20"]) == 0
+        assert cli.main(["verify", suite]) == 0  # the default bound
+
     def test_unknown_suite_is_usage_error(self):
         assert run_cli("verify", "collatz").returncode == 2
 

@@ -350,20 +350,60 @@ class TestDescend:
 
 class TestJump:
     def test_one_jump_suffices(self, monkeypatch):
-        # the index comes from one certified lookup of beta itself, no walk
+        # above 2**60 the index comes from the one lookup of beta itself that
+        # also finds the certified successor: no walk, no second lookup
         lookups = []
 
         def spy(b):
-            index = lookup(b)
-            lookups.append((b, index))
-            return index
+            found = locate(b)
+            lookups.append((b, found[0]))
+            return found
 
-        lookup = descent.fib_index_of
-        monkeypatch.setattr(descent, "fib_index_of", spy)
+        def no_index_lookup(b):
+            raise AssertionError(f"fib_index_of({b}) called")
+
+        locate = descent._locate
+        monkeypatch.setattr(descent, "_locate", spy)
+        monkeypatch.setattr(descent, "fib_index_of", no_index_lookup)
+        assert fib(90) > 2**60
         for i in range(90, 5001):
             lookups.clear()
             assert descend(fib(i)).recovered_index == i
             assert lookups == [(fib(i), i)], i
+
+    def test_sieve_rejection_is_the_whole_answer(self, monkeypatch):
+        # one residue test and no lookup for a non-member the sieve rejects
+        sieved = []
+
+        def sieve(b):
+            sieved.append(b)
+            return rejects(b)
+
+        def no_lookup(b):
+            raise AssertionError(f"_locate({b}) called")
+
+        rejects = descent._sieve_rejects
+        monkeypatch.setattr(descent, "_sieve_rejects", sieve)
+        monkeypatch.setattr(descent, "_locate", no_lookup)
+        for i in (90, 1000, 5000):
+            sieved.clear()
+            assert descend(fib(i) + 1) is None
+            assert sieved == [fib(i) + 1]
+
+    def test_non_member_past_the_sieve_is_refused_by_isqrt(self, monkeypatch):
+        # a value strictly between two Fibonacci numbers that every residue
+        # admits: the candidate fails its residual and isqrt gives the "no"
+        beta = next(b for b in range(fib(100) + 1, fib(101)) if not descent._sieve_rejects(b))
+        roots = []
+
+        def spy(n):
+            roots.append(n)
+            return root(n)
+
+        root = descent.isqrt
+        monkeypatch.setattr(descent, "isqrt", spy)
+        assert descend(beta) is None
+        assert roots == [5 * beta * beta - 4, 5 * beta * beta + 4]
 
 
 class TestSieve:

@@ -12,9 +12,10 @@ from hippasus.descent import (  # noqa: E402
     hippasus_residual,
     successors,
 )
-from hippasus.fibonacci import cassini_residual, fib  # noqa: E402
-from hippasus.wasteels import wasteels_residual  # noqa: E402
+from hippasus.fibonacci import _pair, cassini_residual, fib  # noqa: E402
+from hippasus.wasteels import classify, wasteels_residual  # noqa: E402
 from test_descent import descend_by_walk, successors_by_isqrt  # noqa: E402
+from test_fibonacci import pair_by_three_products  # noqa: E402
 
 indices = st.integers(min_value=2, max_value=10**4)
 relaxed = settings(deadline=None)
@@ -72,6 +73,27 @@ def test_cassini_residual_is_index_parity(i):
 @given(st.integers(min_value=1, max_value=10**30), st.integers(min_value=1, max_value=10**30))
 def test_wasteels_residual_negates_hippasus(x, y):
     assert wasteels_residual(x, y) == -hippasus_residual(x, y)
+
+
+@relaxed
+@given(st.integers(min_value=2048, max_value=2 * 10**5))
+def test_pair_matches_three_product_doubling(i):
+    assert _pair(i) == pair_by_three_products(i)
+
+
+# operands up to 2**70000, about F(10**5), drawn by bit length so that long
+# ones are as likely as short ones
+big_operands = st.integers(min_value=1, max_value=70_000).flatmap(
+    lambda bits: st.integers(min_value=1, max_value=2**bits)
+)
+
+
+@relaxed
+@given(big_operands, big_operands)
+def test_wasteels_residual_is_the_definition(x, y):
+    # two products, y*(y - x) - x*x, for the three of the definition; x > y too
+    expected = y * y - x * y - x * x
+    assert classify(x, y).residual == wasteels_residual(x, y) == expected
 
 
 @relaxed

@@ -7,6 +7,7 @@ import pytest
 from hippasus.fibonacci import (
     MAX_INDEX,
     _locate,
+    _pair,
     cassini_residual,
     fib,
     fib_index_of,
@@ -32,6 +33,36 @@ def first_index_at_least(targets: list[int]) -> dict[int, tuple[int, int, int]]:
             i, a, b = i + 1, b, a + b
         found[n] = (i, a, b)
     return found
+
+
+def pair_by_three_products(i: int) -> tuple[int, int]:
+    """Oracle: (F(i), F(i+1)) by the classic fast doubling, one product and
+    two squarings a bit of i + 1 on (G(k), G(k+1)), G(0) = 0, G(1) = 1:
+    G(2k) = G(k)*(2*G(k+1) - G(k)), G(2k+1) = G(k)**2 + G(k+1)**2."""
+    a, b = 0, 1
+    for bit in bin(i + 1)[2:]:
+        c = a * (2 * b - a)
+        d = a * a + b * b
+        a, b = (d, c + d) if bit == "1" else (c, d)
+    return a, b
+
+
+class TestPair:
+    def test_matches_one_addition_walk(self):
+        a, b = 1, 1  # F(i), F(i+1)
+        for i in range(5001):
+            assert _pair(i) == (a, b), i
+            a, b = b, a + b
+
+    def test_bit_patterns_of_i_plus_one(self):
+        # i + 1 = 2**k - 1 is all ones and 2**k a single one, so the sign
+        # 2*(-1)**k of every doubling step comes from either kind of bit
+        for k in range(1, 21):
+            for j in (2**k - 1, 2**k, 2**k + 1):
+                assert _pair(j - 1) == pair_by_three_products(j - 1), j
+
+    def test_at_the_largest_index(self):
+        assert _pair(MAX_INDEX) == pair_by_three_products(MAX_INDEX)
 
 
 class TestFib:

@@ -1,4 +1,5 @@
 import random
+import sys
 import time
 from decimal import Decimal, localcontext
 
@@ -10,6 +11,7 @@ from hippasus.geometry import (
     OctagonGeometry,
     PrecisionConfig,
     PrecisionTooLow,
+    _digit_count,
     _octagon_report,
     _round_to,
     convergence_table,
@@ -87,6 +89,21 @@ class TestPhi:
     def test_deterministic(self):
         cfg = PrecisionConfig(digits=40)
         assert phi(cfg) == phi(cfg)
+
+
+def test_digit_count_is_the_length_of_the_decimal_string():
+    # powers of ten and their neighbours sit where a bit-length estimate
+    # is one short or exact; F(478000) has 99,896 digits
+    ks = list(range(1, 400)) + [999, 1000, 4299, 4300, 4301, 10**4, 54_321, 10**5]
+    values = [v for k in ks for v in (10**k - 1, 10**k, 10**k + 1)] + [fib(478_000)]
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        for v in values:
+            assert _digit_count(v) == len(str(v)), v.bit_length()
+    finally:
+        sys.set_int_max_str_digits(before)
+    assert _digit_count(1) == 1 and _digit_count(9) == 1
 
 
 class TestConvergenceTable:

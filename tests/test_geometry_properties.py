@@ -24,11 +24,19 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from hippasus.fibonacci import fib  # noqa: E402
 from hippasus.geometry import (  # noqa: E402
     PrecisionConfig,
+    _golden,
     _half,
     _sqrt,
     _to_decimal,
     convergence_table,
 )
+
+
+# Decimal.sqrt rounds half-even whatever the context's rounding; under the
+# other modes _sqrt's first rounding lands an ulp off about half the time,
+# which leaves the result to the exact correction
+ROUNDINGS = (ROUND_HALF_EVEN, ROUND_DOWN, ROUND_UP, ROUND_CEILING, ROUND_FLOOR,
+             ROUND_HALF_UP, ROUND_HALF_DOWN, ROUND_05UP)
 
 
 @st.composite
@@ -54,6 +62,46 @@ def test_error_column_matches_closed_form(request):
             ulp = Decimal(10) ** (row.error.adjusted() - digits + 1)
             assert abs(row.error - expected) <= ulp, row.n
             power *= golden
+
+
+def convergence_at_uniform_precision(n_max: int, digits: int) -> list[tuple]:
+    """Reference: (n, ratio, error) with every row at the last row's
+    precision, rounded to digits in the caller's context."""
+    rows = []
+    with localcontext() as ctx:
+        ctx.prec = digits + 10 + 2 * len(str(fib(n_max)))
+        golden = _golden()
+        a, b = 1, 1  # F(n), F(n+1)
+        for n in range(n_max + 1):
+            ratio = Decimal(b) / Decimal(a)
+            error = golden - ratio
+            with localcontext() as out:
+                out.prec = digits
+                rows.append((n, +ratio, +error))
+            a, b = b, a + b
+    return rows
+
+
+@st.composite
+def short_table_requests(draw):
+    n_max = draw(st.integers(min_value=1, max_value=600))
+    least = max(15, len(str(fib(n_max))) + 11)
+    return n_max, draw(st.integers(min_value=least, max_value=max(least, 200)))
+
+
+@settings(deadline=None, max_examples=40)
+@given(short_table_requests(), st.sampled_from(ROUNDINGS))
+def test_rows_at_their_own_precision_match_the_uniform_table(request, rounding):
+    # each row carries the digits its own subtraction cancels, not the last
+    # row's; the printed digits, under any caller's rounding, stay the same
+    n_max, digits = request
+    with localcontext() as ctx:
+        ctx.rounding = rounding
+        rows = convergence_table(n_max, PrecisionConfig(digits))
+        expected = convergence_at_uniform_precision(n_max, digits)
+    assert [(row.n, repr(row.ratio), repr(row.error)) for row in rows] == [
+        (n, repr(ratio), repr(error)) for n, ratio, error in expected
+    ]
 
 
 # --- the square root and the rounded conversion against decimal's own -------
@@ -85,13 +133,6 @@ def radicands(draw):
         else:
             exponent = draw(st.integers(min_value=-2000, max_value=2000))
         return prec, coefficient.scaleb(exponent)
-
-
-# Decimal.sqrt rounds half-even whatever the context's rounding; under the
-# other modes _sqrt's first rounding lands an ulp off about half the time,
-# which leaves the result to the exact correction
-ROUNDINGS = (ROUND_HALF_EVEN, ROUND_DOWN, ROUND_UP, ROUND_CEILING, ROUND_FLOOR,
-             ROUND_HALF_UP, ROUND_HALF_DOWN, ROUND_05UP)
 
 
 @settings(deadline=None, max_examples=150)
