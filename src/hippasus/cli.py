@@ -134,11 +134,12 @@ def _verify_cassini(bound: int) -> int:
     return 0
 
 
-# The largest bounds equivalence and parity accept.  A beta costs 2.3-4.9 us
-# and 0.13-0.24 us at small bounds on a 2-vCPU VM (Python 3.11), about 1.3
-# and 3 times that near the ceilings (5*beta**2 outgrows 64 bits above
-# 1.9e9), so a run at either ceiling takes 25-50 minutes; a larger bound is
-# refused before the loop, not run for days.
+# The largest bounds equivalence and parity accept.  On a 2-vCPU VM (Python
+# 3.11) a beta costs 1.6-3.0 us for equivalence, 1.8-3.3 us near its ceiling
+# (15-28 minutes a run there), and 0.13-0.24 us for parity at small bounds,
+# about 3 times that near its ceiling (5*beta**2 outgrows 64 bits above
+# 1.9e9; 25-50 minutes); a larger bound is refused before the loop, not run
+# for days.
 _EQUIVALENCE_CEILING = 500_000_000
 _PARITY_CEILING = 5_000_000_000
 

@@ -26,6 +26,7 @@ a "yes" by a residual of +1 or -1 inside the window.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterator
 from dataclasses import dataclass
 from math import isqrt, prod
@@ -116,12 +117,14 @@ class HippasusPair:
         return cls(beta, alpha, residual)
 
 
-@dataclass(frozen=True)
-class SuccessorSet:
-    """All Hippasus successors of ``beta``, in ascending order (at most two)."""
+class SuccessorSet(namedtuple("SuccessorSet", "beta successors")):
+    """All Hippasus successors of ``beta``, in ascending order (at most two).
 
-    beta: int
-    successors: tuple[int, ...]
+    A record that only carries a result is a named tuple, which costs about
+    half a frozen dataclass to build; a record that validates is a dataclass.
+    """
+
+    __slots__ = ()
 
     def __bool__(self) -> bool:
         return bool(self.successors)
@@ -171,7 +174,7 @@ def _certified(beta: int) -> tuple[int, int] | tuple[()] | None:
     a residual of +1 or -1 with alpha inside (beta, 2*beta): for beta >= 2
     such an alpha is the unique successor, so beta is a Fibonacci number and,
     the lookup being exact, beta = F(i).  None when the candidate fails; the
-    isqrt test in ``successors`` then decides.
+    isqrt test, ``_by_isqrt``, then decides.
     """
     if _sieve_rejects(beta):
         return ()
@@ -193,11 +196,18 @@ def successors(beta: int) -> SuccessorSet:
         certified = _certified(beta)
         if certified is not None:
             return SuccessorSet(beta, certified[1:])  # () or (alpha,)
-    # alpha solves alpha^2 - beta*alpha - beta^2 = -/+1, so
-    # alpha = (beta + sqrt(5*beta^2 -/+ 4)) / 2 -- integral iff the
-    # discriminant is a perfect square of parity matching beta.  The two
-    # discriminants differ, so the roots found are distinct and ascending.
-    # Differentially tested against the window scan in tests/.
+    return SuccessorSet(beta, _by_isqrt(beta))
+
+
+def _by_isqrt(beta: int) -> tuple[int, ...]:
+    """The successors of beta >= 1 by two isqrt calls, ascending.
+
+    alpha solves alpha^2 - beta*alpha - beta^2 = -/+1, so
+    alpha = (beta + sqrt(5*beta^2 -/+ 4)) / 2 -- integral iff the
+    discriminant is a perfect square of parity matching beta.  The two
+    discriminants differ, so the roots found are distinct and ascending.
+    Differentially tested against the window scan in tests/.
+    """
     b5 = 5 * beta * beta
     found = []
     for disc in (b5 - 4, b5 + 4):
@@ -206,7 +216,7 @@ def successors(beta: int) -> SuccessorSet:
             alpha = (beta + root) // 2
             if alpha >= beta and beta * (beta + alpha) - alpha * alpha in (1, -1):
                 found.append(alpha)
-    return SuccessorSet(beta, tuple(found))
+    return tuple(found)
 
 
 def unique_successor(beta: int) -> int:
@@ -255,9 +265,8 @@ def descend(beta: int) -> DescentTrace | None:
         if certified is not None:
             return DescentTrace(beta, certified[0]) if certified else None
         # a non-member past the sieve (about 1.4 % of random 4000-bit
-        # values): successors repeats the lookup, then its isqrt test, which
-        # costs about ten lookups, gives the "no"
-    if not successors(beta).successors:
+        # values): the isqrt test, which costs about ten lookups, gives the "no"
+    if not _by_isqrt(beta):
         return None
     return DescentTrace(beta, fib_index_of(beta))
 

@@ -18,6 +18,7 @@ digit count; ``_sqrt`` returns the same correctly rounded value.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from decimal import Decimal, getcontext, localcontext
 
@@ -169,13 +170,13 @@ def phi(cfg: PrecisionConfig) -> Decimal:
     return _round_to(value, cfg.digits)
 
 
-@dataclass(frozen=True)
-class ConvergenceRow:
-    """One quotient F(n+1)/F(n) and its signed distance below/above the limit."""
+class ConvergenceRow(namedtuple("ConvergenceRow", "n ratio error")):
+    """One quotient F(n+1)/F(n) and its signed distance below/above the limit.
 
-    n: int
-    ratio: Decimal
-    error: Decimal  # phi - ratio; alternates in sign and shrinks with n
+    error = phi - ratio alternates in sign and shrinks with n.
+    """
+
+    __slots__ = ()
 
 
 def convergence_table(n_max: int, cfg: PrecisionConfig) -> list[ConvergenceRow]:
@@ -215,8 +216,11 @@ def convergence_table(n_max: int, cfg: PrecisionConfig) -> list[ConvergenceRow]:
     return rows
 
 
-@dataclass(frozen=True)
-class OctagonGeometry:
+class OctagonGeometry(
+    namedtuple(
+        "OctagonGeometry", "n p q d e ratio_d_over_f ratio_d_over_e ratio_e_over_f"
+    )
+):
     """Per-n geometry of the octagon side cut from the circle of diameter
     F(n+2) by the tangents to the concentric circle of diameter F(n).
 
@@ -225,45 +229,44 @@ class OctagonGeometry:
     octagon inscribed in the outer circle.
     """
 
-    n: int
-    p: tuple[Decimal, Decimal]
-    q: tuple[Decimal, Decimal]
-    d: Decimal
-    e: Decimal
-    ratio_d_over_f: Decimal
-    ratio_d_over_e: Decimal
-    ratio_e_over_f: Decimal
+    __slots__ = ()
 
 
 def octagon(n: int, cfg: PrecisionConfig) -> OctagonGeometry:
     """Geometry at index n: coordinates, side lengths d and e, and the three
     tracked ratios d/F(n), d/e, e/F(n), all to cfg.digits."""
     n = _as_int(n, "n", 0)
-    return _rounded(_octagon(n, cfg.digits + _GUARD_DIGITS), cfg.digits)
+    _in_range(n + 2)
+    with localcontext() as ctx:
+        ctx.prec = cfg.digits + _GUARD_DIGITS
+        geo = _octagon(n, *_roots_of_two())
+    return _rounded(geo, cfg.digits)
 
 
-def _octagon(n: int, prec: int) -> OctagonGeometry:
-    """The geometry at index n with every value carried at prec digits.
+def _roots_of_two() -> tuple[Decimal, Decimal]:
+    """sqrt(2) and sqrt(2 - sqrt(2)) in the current context: the two roots
+    the octagon and its limits share."""
+    sqrt2 = _sqrt(Decimal(2))
+    return sqrt2, _sqrt(2 - sqrt2)
+
+
+def _octagon(n: int, sqrt2: Decimal, root_2m: Decimal) -> OctagonGeometry:
+    """The geometry at index n with every value carried at the current
+    context's precision, given sqrt(2) and sqrt(2 - sqrt(2)) at it.
 
     F(n) and F(n+2) come from one fast doubling, and each enters the decimal
-    arithmetic once, rounded to prec: F(n)/2 and F(n+2)/2 by ``_half``, and
-    F(n) as the divisor of the two ratios by ``_to_decimal``.
+    arithmetic once, rounded to the precision: F(n)/2 and F(n+2)/2 by
+    ``_half``, and F(n) as the divisor of the two ratios by ``_to_decimal``.
     """
-    _in_range(n + 2)
     f_n, f_n1 = _pair(n)
     f_n2 = f_n + f_n1
-    with localcontext() as ctx:
-        ctx.prec = prec
-        half_inner = _half(f_n)
-        half_outer = _half(f_n2)
-        p_y = _sqrt(half_outer * half_outer - half_inner * half_inner)
-        sqrt2 = _sqrt(Decimal(2))
-        d = sqrt2 * (p_y - half_inner)
-        e = half_outer * _sqrt(2 - sqrt2)  # 2R*sin(pi/8) for diameter F(n+2)
-        f = _to_decimal(f_n)
-        return OctagonGeometry(
-            n, (half_inner, p_y), (p_y, half_inner), d, e, d / f, d / e, e / f
-        )
+    half_inner = _half(f_n)
+    half_outer = _half(f_n2)
+    p_y = _sqrt(half_outer * half_outer - half_inner * half_inner)
+    d = sqrt2 * (p_y - half_inner)
+    e = half_outer * root_2m  # 2R*sin(pi/8) for diameter F(n+2)
+    f = _to_decimal(f_n)
+    return OctagonGeometry(n, (half_inner, p_y), (p_y, half_inner), d, e, d / f, d / e, e / f)
 
 
 def _rounded(geo: OctagonGeometry, digits: int) -> OctagonGeometry:
@@ -288,17 +291,18 @@ def octagon_limits(cfg: PrecisionConfig) -> tuple[Decimal, Decimal, Decimal]:
     """
     with localcontext() as ctx:
         ctx.prec = cfg.digits + _GUARD_DIGITS
-        sqrt5 = _sqrt(Decimal(5))
-        golden = (1 + sqrt5) / 2
-        golden2 = golden * golden
-        c = golden * _sqrt(sqrt5) - 1
-        sqrt2 = _sqrt(Decimal(2))
-        root_2m = _sqrt(2 - sqrt2)
-        first = sqrt2 / 2 * c
-        second = sqrt2 / root_2m * (c / golden2)
-        third = root_2m / 2 * golden2
-    digits = cfg.digits
-    return (_round_to(first, digits), _round_to(second, digits), _round_to(third, digits))
+        limits = _limits(*_roots_of_two())
+    return tuple(_round_to(limit, cfg.digits) for limit in limits)
+
+
+def _limits(sqrt2: Decimal, root_2m: Decimal) -> tuple[Decimal, Decimal, Decimal]:
+    """octagon_limits at the current context's precision, given sqrt(2) and
+    sqrt(2 - sqrt(2)) at it: two more roots, of 5 and of sqrt(5)."""
+    sqrt5 = _sqrt(Decimal(5))
+    golden = (1 + sqrt5) / 2
+    golden2 = golden * golden
+    c = golden * _sqrt(sqrt5) - 1
+    return sqrt2 / 2 * c, sqrt2 / root_2m * (c / golden2), root_2m / 2 * golden2
 
 
 def octagon_deviations(n: int, cfg: PrecisionConfig) -> tuple[Decimal, Decimal, Decimal]:
@@ -315,15 +319,22 @@ def _octagon_report(
     n: int, cfg: PrecisionConfig
 ) -> tuple[OctagonGeometry, tuple[Decimal, Decimal, Decimal], tuple[Decimal, Decimal, Decimal]]:
     """octagon(n, cfg), octagon_limits(cfg) and octagon_deviations(n, cfg),
-    all from one pass at the deviations' wide precision, rounded to cfg.digits."""
+    all from one pass at the deviations' wide precision, rounded to cfg.digits.
+
+    The geometry and the limits share one sqrt(2) and one sqrt(2 - sqrt(2)),
+    so the pass takes five roots.  Each side is first rounded to the wide
+    digits, as octagon and octagon_limits at those digits would give it.
+    """
     n = _as_int(n, "n", 0)
     _in_range(n + 2)  # before the digit count, which takes a second at F(10**6)
-    wide = PrecisionConfig(cfg.digits + _GUARD_DIGITS + 2 * _digit_count(fib(n)))
-    geo = octagon(n, wide)
-    limits = octagon_limits(wide)
-    ratios = (geo.ratio_d_over_f, geo.ratio_d_over_e, geo.ratio_e_over_f)
+    wide = cfg.digits + _GUARD_DIGITS + 2 * _digit_count(fib(n))
     with localcontext() as ctx:
-        ctx.prec = wide.digits  # exact: both sides have wide.digits digits near 1
+        ctx.prec = wide + _GUARD_DIGITS
+        roots = _roots_of_two()
+        geo = _rounded(_octagon(n, *roots), wide)
+        limits = [_round_to(limit, wide) for limit in _limits(*roots)]
+        ctx.prec = wide  # exact: both sides have wide digits near 1
+        ratios = (geo.ratio_d_over_f, geo.ratio_d_over_e, geo.ratio_e_over_f)
         deviations = [ratio - limit for ratio, limit in zip(ratios, limits)]
     digits = cfg.digits
     return (

@@ -3,7 +3,7 @@ Fibonacci numbers.  The residual here is the exact negation of the Hippasus
 residual, so the two modules decide the same set from opposite directions."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .fibonacci import _as_int, _locate, is_consecutive_fib
 
@@ -14,19 +14,14 @@ def wasteels_residual(x: int, y: int) -> int:
     return y * (y - x) - x * x
 
 
-@dataclass(frozen=True)
-class WasteelsVerdict:
+class WasteelsVerdict(namedtuple("WasteelsVerdict", "x y residual consecutive indices")):
     """Outcome of the consecutive-Fibonacci test for an ordered pair (x, y).
 
     ``indices`` is the pair (i, i+1) with fib(i) = x and fib(i+1) = y,
     present exactly when ``consecutive`` is true.
     """
 
-    x: int
-    y: int
-    residual: int
-    consecutive: bool
-    indices: tuple[int, int] | None
+    __slots__ = ()
 
 
 def classify(x: int, y: int) -> WasteelsVerdict:

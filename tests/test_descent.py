@@ -392,18 +392,39 @@ class TestJump:
 
     def test_non_member_past_the_sieve_is_refused_by_isqrt(self, monkeypatch):
         # a value strictly between two Fibonacci numbers that every residue
-        # admits: the candidate fails its residual and isqrt gives the "no"
+        # admits: the candidate fails its residual and isqrt gives the "no",
+        # after one sieve and one lookup
         beta = next(b for b in range(fib(100) + 1, fib(101)) if not descent._sieve_rejects(b))
-        roots = []
+        calls = {"isqrt": [], "_sieve_rejects": [], "_locate": []}
 
-        def spy(n):
-            roots.append(n)
-            return root(n)
+        def spy(name):
+            real = getattr(descent, name)
 
-        root = descent.isqrt
-        monkeypatch.setattr(descent, "isqrt", spy)
+            def call(n):
+                calls[name].append(n)
+                return real(n)
+
+            return call
+
+        for name in calls:
+            monkeypatch.setattr(descent, name, spy(name))
         assert descend(beta) is None
-        assert roots == [5 * beta * beta - 4, 5 * beta * beta + 4]
+        assert calls == {
+            "isqrt": [5 * beta * beta - 4, 5 * beta * beta + 4],
+            "_sieve_rejects": [beta],
+            "_locate": [beta],
+        }
+
+    def test_small_descent_builds_no_successor_set(self, monkeypatch):
+        # below 2**60 descend reads the isqrt test's tuple directly
+        def no_successors(b):
+            raise AssertionError(f"successors({b}) called")
+
+        monkeypatch.setattr(descent, "successors", no_successors)
+        assert descend(14) is None
+        assert descend(100_003) is None
+        assert descend(13) == DescentTrace(13, 6)
+        assert descend(121_393) == DescentTrace(121_393, 25)
 
 
 class TestSieve:

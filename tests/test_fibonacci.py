@@ -1,6 +1,8 @@
+import os
 import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -239,9 +241,18 @@ class TestIntegerBoundary:
 
 
 def test_import_does_not_load_numpy():
-    code = "import sys, hippasus; sys.exit('numpy' in sys.modules)"
-    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert run.returncode == 0, run.stderr or "importing hippasus loaded numpy"
+    # -S: without site, nothing but hippasus itself can load either module;
+    # typing alone costs 5-8 ms of every CLI call's start-up
+    code = "import sys, hippasus; print(*sorted({'numpy', 'typing'} & set(sys.modules)))"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    run = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == [], f"importing hippasus loaded {run.stdout.strip()}"
 
 
 class TestCassini:

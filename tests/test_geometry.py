@@ -6,6 +6,7 @@ from decimal import Decimal, localcontext
 import mpmath
 import pytest
 
+from hippasus import geometry
 from hippasus.fibonacci import fib
 from hippasus.geometry import (
     OctagonGeometry,
@@ -312,6 +313,21 @@ class TestOctagonReport:
                 assert repr(geo) == repr(octagon(n, cfg)), (n, digits)
                 assert repr(limits) == repr(octagon_limits(cfg))
                 assert repr(deviations) == repr(octagon_deviations(n, cfg))
+
+    @pytest.mark.parametrize("n, digits", [(0, 15), (40, 50), (1000, 200), (3000, 60)])
+    def test_takes_five_square_roots(self, monkeypatch, n, digits):
+        # sqrt(2) and sqrt(2 - sqrt(2)) are shared by the geometry and the
+        # limits: p_y, those two, sqrt(5) and its root
+        roots = []
+
+        def spy(x):
+            roots.append(x)
+            return sqrt(x)
+
+        sqrt = geometry._sqrt
+        monkeypatch.setattr(geometry, "_sqrt", spy)
+        _octagon_report(n, PrecisionConfig(digits))
+        assert len(roots) == 5
 
     def test_refuses_an_index_past_the_range_at_once(self):
         # the digit count of F(999,999) alone would take about a second
