@@ -142,6 +142,10 @@ def _verify_cassini(bound: int) -> int:
 # for days.
 _EQUIVALENCE_CEILING = 500_000_000
 _PARITY_CEILING = 5_000_000_000
+# convergence holds every row, at the digits of F(bound), in memory: on the
+# same VM bound 10,000 takes 1.7 s at 41 MB peak RSS, 20,000 12 s at 100 MB
+# and 40,000 88 s at 335 MB, and each doubling costs about 7 times the time
+_CONVERGENCE_CEILING = 40_000
 
 
 def _within(bound: int, ceiling: int, suite: str) -> None:
@@ -183,6 +187,7 @@ def _verify_parity(bound: int) -> int:
 
 
 def _verify_convergence(bound: int) -> int:
+    _within(bound, _CONVERGENCE_CEILING, "convergence")
     digits = max(50, _digit_count(fib(bound)) + 15)
     rows = convergence_table(bound, PrecisionConfig(digits=digits))
     for n in range(1, bound + 1):

@@ -28,10 +28,9 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
 from math import isqrt, prod
 
-from .fibonacci import _as_int, _locate, _pair, fib, fib_index_of
+from .fibonacci import _as_int, _checked_make, _locate, _pair, fib, fib_index_of
 
 # Above this beta, successors takes the big-operand path (sieve, certified
 # candidate).  A measured size selection: below it the two-isqrt test is the
@@ -81,30 +80,26 @@ def is_hippasus_pair(beta: int, alpha: int) -> bool:
     return beta * (beta + alpha) - alpha * alpha in (1, -1)
 
 
-@dataclass(frozen=True)
-class HippasusPair:
+class HippasusPair(namedtuple("HippasusPair", "beta alpha sign")):
     """A certified (beta, alpha, sign) triple with residual exactly `sign`."""
 
-    beta: int
-    alpha: int
-    sign: int
+    __slots__ = ()
+    _make = classmethod(_checked_make)
 
-    def __post_init__(self) -> None:
-        for name, minimum in (("beta", 1), ("alpha", None), ("sign", None)):
-            object.__setattr__(self, name, _as_int(getattr(self, name), name, minimum))
-        if self.alpha < self.beta:
-            raise ValueError(f"alpha must be >= beta, got ({self.beta}, {self.alpha})")
-        if self.sign not in (1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {self.sign}")
-        residual = self.beta * (self.beta + self.alpha) - self.alpha * self.alpha
-        if residual != self.sign:
+    def __new__(cls, beta: int, alpha: int, sign: int) -> "HippasusPair":
+        beta, alpha, sign = _as_int(beta, "beta", 1), _as_int(alpha, "alpha"), _as_int(sign, "sign")
+        if alpha < beta:
+            raise ValueError(f"alpha must be >= beta, got ({beta}, {alpha})")
+        if sign not in (1, -1):
+            raise ValueError(f"sign must be +1 or -1, got {sign}")
+        residual = beta * (beta + alpha) - alpha * alpha
+        if residual != sign:
+            raise ValueError(f"residual of ({beta}, {alpha}) is {residual}, not {sign}")
+        if beta > 1 and not (beta < alpha < 2 * beta):
             raise ValueError(
-                f"residual of ({self.beta}, {self.alpha}) is {residual}, not {self.sign}"
+                f"alpha must lie strictly between beta and 2*beta, got ({beta}, {alpha})"
             )
-        if self.beta > 1 and not (self.beta < self.alpha < 2 * self.beta):
-            raise ValueError(
-                f"alpha must lie strictly between beta and 2*beta, got ({self.beta}, {self.alpha})"
-            )
+        return super().__new__(cls, beta, alpha, sign)
 
     @classmethod
     def from_beta_alpha(cls, beta: int, alpha: int) -> "HippasusPair":
@@ -118,11 +113,7 @@ class HippasusPair:
 
 
 class SuccessorSet(namedtuple("SuccessorSet", "beta successors")):
-    """All Hippasus successors of ``beta``, in ascending order (at most two).
-
-    A record that only carries a result is a named tuple, which costs about
-    half a frozen dataclass to build; a record that validates is a dataclass.
-    """
+    """All Hippasus successors of ``beta``, in ascending order (at most two)."""
 
     __slots__ = ()
 
@@ -130,8 +121,7 @@ class SuccessorSet(namedtuple("SuccessorSet", "beta successors")):
         return bool(self.successors)
 
 
-@dataclass(frozen=True)
-class DescentTrace:
+class DescentTrace(namedtuple("DescentTrace", "beta recovered_index")):
     """The walk produced by ``descend``, kept as its start and its length.
 
     Descent from beta = F(i) visits F(i), F(i-1), ..., F(0), so the trace is
@@ -139,16 +129,14 @@ class DescentTrace:
     there is to check.  ``steps`` rebuilds the walk on each access.
     """
 
-    beta: int
-    recovered_index: int
+    __slots__ = ()
+    _make = classmethod(_checked_make)
 
-    def __post_init__(self) -> None:
-        for name in ("beta", "recovered_index"):
-            object.__setattr__(self, name, _as_int(getattr(self, name), name))
-        if fib(self.recovered_index) != self.beta:
-            raise ValueError(
-                f"fib({self.recovered_index}) != starting value {self.beta}"
-            )
+    def __new__(cls, beta: int, recovered_index: int) -> "DescentTrace":
+        beta, recovered_index = _as_int(beta, "beta"), _as_int(recovered_index, "recovered_index")
+        if fib(recovered_index) != beta:
+            raise ValueError(f"fib({recovered_index}) != starting value {beta}")
+        return super().__new__(cls, beta, recovered_index)
 
     @property
     def steps(self) -> tuple[int, ...]:

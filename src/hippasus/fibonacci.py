@@ -44,6 +44,13 @@ def _as_int(value: object, name: str, minimum: int | None = None) -> int:
     return number
 
 
+def _checked_make(cls, fields):
+    """A validating named tuple's ``_make`` (``_make = classmethod(...)``):
+    through ``cls(*fields)``, so that ``_replace`` runs the checks in
+    ``__new__`` too; the generated ``_make`` calls ``tuple.__new__``."""
+    return cls(*fields)
+
+
 def _pair(i: int) -> tuple[int, int]:
     """(F(i), F(i+1)) by fast doubling: two squarings a bit, nothing stored.
 

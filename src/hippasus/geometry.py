@@ -19,10 +19,9 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
 from decimal import Decimal, getcontext, localcontext
 
-from .fibonacci import _as_int, _in_range, _pair, fib
+from .fibonacci import _as_int, _checked_make, _in_range, _pair, fib
 
 _GUARD_DIGITS = 10
 
@@ -40,16 +39,17 @@ class PrecisionTooLow(ValueError):
     """Requested precision cannot represent the computation faithfully."""
 
 
-@dataclass(frozen=True)
-class PrecisionConfig:
+class PrecisionConfig(namedtuple("PrecisionConfig", "digits")):
     """Number of decimal significant digits for all real-valued results."""
 
-    digits: int = 50
+    __slots__ = ()
+    _make = classmethod(_checked_make)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "digits", _as_int(self.digits, "digits"))
-        if self.digits < 15:
-            raise PrecisionTooLow(f"digits must be >= 15, got {self.digits}")
+    def __new__(cls, digits: int = 50) -> "PrecisionConfig":
+        digits = _as_int(digits, "digits")
+        if digits < 15:
+            raise PrecisionTooLow(f"digits must be >= 15, got {digits}")
+        return super().__new__(cls, digits)
 
 
 def _round_to(value: Decimal, digits: int) -> Decimal:

@@ -4,32 +4,29 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, fields
+from collections import namedtuple
 
 from .descent import HippasusPair, extend
-from .fibonacci import _as_int
+from .fibonacci import _as_int, _checked_make
 
 _CSV_FIELDS = ("beta", "alpha", "sum", "product", "sign", "alpha_squared")
 
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(namedtuple("TableRow", "beta alpha sum sign alpha_squared")):
     """One Hippasus pair: beta * (alpha + beta) lands next to alpha**2."""
 
-    beta: int
-    alpha: int
-    sum: int
-    sign: int
-    alpha_squared: int
+    __slots__ = ()
+    _make = classmethod(_checked_make)
 
-    def __post_init__(self) -> None:
-        for field in fields(self):
-            object.__setattr__(self, field.name, _as_int(getattr(self, field.name), field.name))
+    def __new__(cls, beta: int, alpha: int, sum: int, sign: int, alpha_squared: int) -> "TableRow":
+        values = (beta, alpha, sum, sign, alpha_squared)
+        self = super().__new__(cls, *map(_as_int, values, cls._fields))
         if self.sum != self.beta + self.alpha:
             raise ValueError(f"sum must be beta + alpha, got {self}")
         if self.alpha_squared != self.alpha * self.alpha:
             raise ValueError(f"alpha_squared must be alpha**2, got {self}")
         HippasusPair(self.beta, self.alpha, self.sign)
+        return self
 
     @property
     def product(self) -> int:

@@ -291,7 +291,8 @@ class TestVerify:
         assert main(["verify", "cassini", "--bound", "20"]) == 0
 
     @pytest.mark.parametrize(
-        "suite, ceiling", [("equivalence", 500_000_000), ("parity", 5_000_000_000)]
+        "suite, ceiling",
+        [("equivalence", 500_000_000), ("parity", 5_000_000_000), ("convergence", 40_000)],
     )
     def test_unreachable_bound_is_refused_at_once(self, monkeypatch, capsys, suite, ceiling):
         # a run past the ceiling would take hours (10**12 betas of
@@ -305,6 +306,7 @@ class TestVerify:
         with monkeypatch.context() as patched:
             patched.setattr(cli, "is_fibonacci_by_descent", loop_started)
             patched.setattr(cli, "find_exact_solution", loop_started)
+            patched.setattr(cli, "convergence_table", loop_started)
             for bound in (ceiling + 1, 10**12):
                 t0 = time.perf_counter()
                 assert cli.main(["verify", suite, "--bound", str(bound)]) == 2

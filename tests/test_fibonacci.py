@@ -241,9 +241,11 @@ class TestIntegerBoundary:
 
 
 def test_import_does_not_load_numpy():
-    # -S: without site, nothing but hippasus itself can load either module;
-    # typing alone costs 5-8 ms of every CLI call's start-up
-    code = "import sys, hippasus; print(*sorted({'numpy', 'typing'} & set(sys.modules)))"
+    # -S: without site, nothing but hippasus itself can load these modules;
+    # typing alone costs 5-8 ms of every CLI call's start-up, and dataclasses
+    # (which loads inspect) more
+    modules = "{'numpy', 'typing', 'dataclasses', 'inspect'}"
+    code = f"import sys, hippasus.cli; print(*sorted({modules} & set(sys.modules)))"
     src = str(Path(__file__).resolve().parent.parent / "src")
     run = subprocess.run(
         [sys.executable, "-S", "-c", code],

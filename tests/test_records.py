@@ -1,13 +1,24 @@
-"""The four result records, named tuples: their repr, field order,
-immutability and value semantics are pinned here literally."""
+"""The eight records, all named tuples: their repr, field order,
+immutability, value semantics and pickling are pinned here literally, and
+the four that validate are shown to validate on ``_replace`` and ``_make``
+as they do on construction."""
+import copy
+import pickle
+
 import pytest
 
 from hippasus import (
+    DescentTrace,
+    HippasusPair,
     PrecisionConfig,
+    PrecisionTooLow,
     SuccessorSet,
+    TableRow,
     WasteelsVerdict,
+    build_rows,
     classify,
     convergence_table,
+    descend,
     octagon,
     successors,
 )
@@ -19,16 +30,19 @@ RECORDS = {
         lambda: successors(13),
         "SuccessorSet(beta=13, successors=(21,))",
         ("beta", "successors"),
+        {"beta": -1},
     ),
     "WasteelsVerdict": (
         lambda: classify(5, 8),
         "WasteelsVerdict(x=5, y=8, residual=-1, consecutive=True, indices=(4, 5))",
         ("x", "y", "residual", "consecutive", "indices"),
+        {"x": -1},
     ),
     "ConvergenceRow": (
         lambda: convergence_table(3, CFG)[2],
         "ConvergenceRow(n=2, ratio=Decimal('1.5'), error=Decimal('0.11803398874989484820'))",
         ("n", "ratio", "error"),
+        {"n": -1},
     ),
     "OctagonGeometry": (
         lambda: octagon(3, CFG),
@@ -39,6 +53,32 @@ RECORDS = {
         "ratio_d_over_e=Decimal('1.0200088484337482308'), "
         "ratio_e_over_f=Decimal('1.0204891529735727246'))",
         ("n", "p", "q", "d", "e", "ratio_d_over_f", "ratio_d_over_e", "ratio_e_over_f"),
+        {"n": -1},
+    ),
+    # the four that validate: a change must be valid too
+    "HippasusPair": (
+        lambda: HippasusPair(2, 3, 1),
+        "HippasusPair(beta=2, alpha=3, sign=1)",
+        ("beta", "alpha", "sign"),
+        {"beta": 3, "alpha": 5, "sign": -1},
+    ),
+    "DescentTrace": (
+        lambda: descend(13),
+        "DescentTrace(beta=13, recovered_index=6)",
+        ("beta", "recovered_index"),
+        {"beta": 21, "recovered_index": 7},
+    ),
+    "TableRow": (
+        lambda: build_rows(3)[-1],
+        "TableRow(beta=3, alpha=5, sum=8, sign=-1, alpha_squared=25)",
+        ("beta", "alpha", "sum", "sign", "alpha_squared"),
+        {"beta": 5, "alpha": 8, "sum": 13, "sign": 1, "alpha_squared": 64},
+    ),
+    "PrecisionConfig": (
+        lambda: PrecisionConfig(20),
+        "PrecisionConfig(digits=20)",
+        ("digits",),
+        {"digits": 21},
     ),
 }
 
@@ -49,17 +89,17 @@ def record(request):
 
 
 def test_repr_is_unchanged(record):
-    build, text, _ = record
+    build, text, _, _ = record
     assert repr(build()) == text
 
 
 def test_field_order(record):
-    build, _, names = record
+    build, _, names, _ = record
     assert type(build())._fields == names
 
 
 def test_fields_cannot_be_assigned(record):
-    build, _, names = record
+    build, _, names, _ = record
     value = build()
     for name in names:
         with pytest.raises(AttributeError):
@@ -69,13 +109,58 @@ def test_fields_cannot_be_assigned(record):
 
 
 def test_equality_and_hash_by_value(record):
-    build, _, _ = record
+    build, _, _, change = record
     first, second = build(), build()
     assert first is not second
     assert first == second
     assert hash(first) == hash(second)
-    changed = first._replace(**{first._fields[0]: -1})
+    changed = first._replace(**change)
     assert changed != first
+    assert type(changed) is type(first)
+
+
+def test_pickle_and_deepcopy_round_trip(record):
+    build, _, _, _ = record
+    value = build()
+    for copied in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+        assert copied == value
+        assert type(copied) is type(value)
+        assert repr(copied) == repr(value)
+
+
+# (valid record, an invalid change of its fields, the constructor's error)
+INVALID_CHANGES = {
+    "HippasusPair": (
+        HippasusPair(2, 3, 1), {"sign": -1}, ValueError, "residual of (2, 3) is 1, not -1"
+    ),
+    "DescentTrace": (
+        DescentTrace(13, 6), {"beta": 14}, ValueError, "fib(6) != starting value 14"
+    ),
+    "TableRow": (
+        TableRow(3, 5, 8, -1, 25),
+        {"sum": 9},
+        ValueError,
+        "sum must be beta + alpha, got TableRow(beta=3, alpha=5, sum=9, sign=-1, alpha_squared=25)",
+    ),
+    "PrecisionConfig": (
+        PrecisionConfig(20), {"digits": 14}, PrecisionTooLow, "digits must be >= 15, got 14"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INVALID_CHANGES))
+def test_replace_and_make_validate(name):
+    value, change, error, message = INVALID_CHANGES[name]
+    fields = [change.get(field, old) for field, old in zip(value._fields, value)]
+    cls = type(value)
+    with pytest.raises(error) as direct:
+        cls(*fields)
+    assert str(direct.value) == message
+    for build in (lambda: value._replace(**change), lambda: cls._make(fields)):
+        with pytest.raises(error) as caught:
+            build()
+        assert type(caught.value) is type(direct.value)
+        assert str(caught.value) == message
 
 
 def test_successor_set_truth_is_its_successors():
@@ -85,8 +170,13 @@ def test_successor_set_truth_is_its_successors():
 
 
 def test_a_record_is_a_tuple():
-    # the one difference from a dataclass: it unpacks and equals its fields
+    # it unpacks, equals a plain tuple of its fields and orders by them
     beta, found = successors(13)
     assert (beta, found) == (13, (21,)) == successors(13)
     assert SuccessorSet(beta=13, successors=(21,)) == successors(13)
     assert WasteelsVerdict(5, 9, 11, False, None) == classify(5, 9)
+    beta, alpha, sign = HippasusPair(2, 3, 1)
+    assert (beta, alpha, sign) == HippasusPair(beta=2, alpha=3, sign=1) == (2, 3, 1)
+    assert descend(13) == (13, 6)
+    assert PrecisionConfig() == (50,)
+    assert PrecisionConfig(20) < PrecisionConfig(21)
