@@ -9,15 +9,9 @@ import argparse
 import sys
 
 from . import geometry, table
-from .descent import (
-    DescentTrace,
-    descend,
-    find_exact_solution,
-    is_fibonacci_by_descent,
-    successors,
-)
-from .fibonacci import _in_range, cassini_residual, fib, fib_index_of
-from .geometry import PrecisionConfig, PrecisionTooLow, _digit_count, convergence_table
+from .descent import DescentTrace, descend, find_exact_solution, successors
+from .fibonacci import cassini_residual, fib, fib_index_of
+from .geometry import PrecisionConfig, PrecisionTooLow, _convergence_rows, _digit_count
 from .wasteels import classify
 
 
@@ -113,7 +107,7 @@ def _cmd_octagon(args: argparse.Namespace) -> int:
 
 def _cmd_phi_convergence(args: argparse.Namespace) -> int:
     cfg = PrecisionConfig(digits=args.digits)
-    rows = convergence_table(args.n_max, cfg)
+    rows = _convergence_rows(args.n_max, cfg)  # PrecisionTooLow before any output
     print(f"phi: {geometry.phi(cfg)}")
     for row in rows:
         print(f"{row.n}  {row.ratio}  {row.error}")
@@ -121,9 +115,6 @@ def _cmd_phi_convergence(args: argparse.Namespace) -> int:
 
 
 def _verify_cassini(bound: int) -> int:
-    # the last residual needs F(bound + 2): refuse an unreachable bound now,
-    # not after hours of smaller residuals
-    _in_range(bound + 2)
     for i in range(bound + 1):
         expected = 1 if i % 2 == 0 else -1
         got = cassini_residual(i)
@@ -134,50 +125,31 @@ def _verify_cassini(bound: int) -> int:
     return 0
 
 
-# The largest bounds equivalence and parity accept.  On a 2-vCPU VM (Python
-# 3.11) a beta costs 1.6-3.0 us for equivalence, 1.8-3.3 us near its ceiling
-# (15-28 minutes a run there), and 0.13-0.24 us for parity at small bounds,
-# about 3 times that near its ceiling (5*beta**2 outgrows 64 bits above
-# 1.9e9; 25-50 minutes); a larger bound is refused before the loop, not run
-# for days.
-_EQUIVALENCE_CEILING = 500_000_000
-_PARITY_CEILING = 5_000_000_000
-# convergence holds every row, at the digits of F(bound), in memory: on the
-# same VM bound 10,000 takes 1.7 s at 41 MB peak RSS, 20,000 12 s at 100 MB
-# and 40,000 88 s at 335 MB, and each doubling costs about 7 times the time
-_CONVERGENCE_CEILING = 40_000
-
-
-def _within(bound: int, ceiling: int, suite: str) -> None:
-    if bound > ceiling:
-        raise ValueError(f"verify {suite}: bound {bound} exceeds the ceiling (max {ceiling})")
-
-
 def _verify_equivalence(bound: int) -> int:
-    _within(bound, _EQUIVALENCE_CEILING, "equivalence")
-    members = set()
-    a, b = 1, 1
-    while a <= bound:
-        members.add(a)
-        a, b = b, a + b
-    count = 0
+    # both routes against the sequence walk: F(i) is the next member at or
+    # above beta and F(i + 1) its successor; at the end F(i) exceeds the
+    # bound, so F(1), ..., F(i - 1) are the distinct members checked
+    i, member, following = 0, 1, 1
     for beta in range(1, bound + 1):
-        by_descent = is_fibonacci_by_descent(beta)
-        by_successor = bool(successors(beta).successors)
-        by_sequence = beta in members
-        if not (by_descent == by_successor == by_sequence):
-            print(
-                f"verify equivalence: FAIL at beta={beta}: "
-                f"descent={by_descent} successors={by_successor} sequence={by_sequence}"
-            )
+        index, alphas = None, ()
+        if beta == member:
+            index, alphas = i, ((1, 2) if beta == 1 else (following,))
+            while member <= beta:
+                i, member, following = i + 1, following, member + following
+        trace = descend(beta)
+        got = None if trace is None else trace.recovered_index
+        if got != index:
+            print(f"verify equivalence: FAIL at beta={beta}: descent index {got}, sequence {index}")
             return 1
-        count += by_sequence
-    print(f"verify equivalence: pass (beta in 1..{bound}, {count} Fibonacci values)")
+        found = successors(beta).successors
+        if found != alphas:
+            print(f"verify equivalence: FAIL at beta={beta}: successors {found}, sequence {alphas}")
+            return 1
+    print(f"verify equivalence: pass (beta in 1..{bound}, {i - 1} Fibonacci values)")
     return 0
 
 
 def _verify_parity(bound: int) -> int:
-    _within(bound, _PARITY_CEILING, "parity")
     hit = find_exact_solution(bound)
     if hit is not None:
         print(f"verify parity: FAIL: beta={hit[0]}, alpha={hit[1]} solves beta*(beta+alpha)=alpha^2")
@@ -187,33 +159,43 @@ def _verify_parity(bound: int) -> int:
 
 
 def _verify_convergence(bound: int) -> int:
-    _within(bound, _CONVERGENCE_CEILING, "convergence")
     digits = max(50, _digit_count(fib(bound)) + 15)
-    rows = convergence_table(bound, PrecisionConfig(digits=digits))
-    for n in range(1, bound + 1):
-        prev, cur = rows[n - 1].error, rows[n].error
+    rows = _convergence_rows(bound, PrecisionConfig(digits=digits))
+    prev = next(rows).error
+    for n, _, cur in rows:
         if not abs(cur) < abs(prev):
             print(f"verify convergence: FAIL at n={n}: |error| {abs(cur)} >= {abs(prev)}")
             return 1
         if (cur > 0) == (prev > 0):
             print(f"verify convergence: FAIL at n={n}: error sign did not alternate")
             return 1
+        prev = cur
     print(f"verify convergence: pass (n in 1..{bound} at {digits} digits)")
     return 0
 
 
-# suite name -> (runner, default bound)
+# suite name -> (runner, default bound, ceiling).  _cmd_verify refuses a
+# bound above the ceiling before the run starts.  Each ceiling is set by
+# time, on a 2-vCPU VM (Python 3.11): equivalence costs 1.6-3.3 us a beta,
+# 15-28 minutes at its ceiling; cassini's run grows about 6 times per
+# doubling of the bound (1 s at 10,000, 28 s at 40,000, 15 minutes at
+# 160,000); convergence's about 7 times (1.3 s at 10,000, 9.9 s at 20,000,
+# 81 s at 40,000).  The descent decides parity at once for every bound, so
+# it has no ceiling.
 VERIFY_SUITES = {
-    "cassini": (_verify_cassini, 300),
-    "equivalence": (_verify_equivalence, 100_000),
-    "parity": (_verify_parity, 1_000),
-    "convergence": (_verify_convergence, 60),
+    "cassini": (_verify_cassini, 300, 160_000),
+    "equivalence": (_verify_equivalence, 100_000, 500_000_000),
+    "parity": (_verify_parity, 1_000, None),
+    "convergence": (_verify_convergence, 60, 40_000),
 }
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    runner, default_bound = VERIFY_SUITES[args.suite]
-    return runner(args.bound if args.bound is not None else default_bound)
+    runner, default, ceiling = VERIFY_SUITES[args.suite]
+    bound = default if args.bound is None else args.bound
+    if ceiling is not None and bound > ceiling:
+        raise ValueError(f"verify {args.suite}: bound {bound} exceeds the ceiling (max {ceiling})")
+    return runner(bound)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -16,7 +16,7 @@ directions:
   and ends in the terminal pattern (2, 1, 1): it is fixed by i.  The index
   comes from the index lookup and ``DescentTrace`` certifies it by
   fib(i) == beta; ``steps`` and the CLI run the paper's step.
-* ``verify_no_exact_solution`` is the bounded sanity check that the residual
+* ``verify_no_exact_solution`` shows by the same descent that the residual
   is never exactly 0 -- the integer shadow of the incommensurability of a
   regular pentagon's side and diagonal.
 
@@ -266,22 +266,25 @@ def is_fibonacci_by_descent(beta: int) -> bool:
 
 def find_exact_solution(max_beta: int) -> tuple[int, int] | None:
     """Smallest (beta, alpha) with beta <= max_beta, beta <= alpha <= 2*beta
-    and beta*(beta+alpha) == alpha**2, or None when no such pair exists."""
-    max_beta = _as_int(max_beta, "max_beta", 1)
-    # The only positive root is alpha = (beta + sqrt(5*beta^2)) / 2, integral
-    # iff 5*beta^2 is a perfect square whose root has beta's parity.
-    # Differentially tested against the window scan in tests/.
-    for beta in range(1, max_beta + 1):
-        disc = 5 * beta * beta
-        root = isqrt(disc)
-        if root * root == disc and (beta + root) % 2 == 0:
-            alpha = (beta + root) // 2
-            if beta <= alpha <= 2 * beta and beta * (beta + alpha) == alpha * alpha:
-                return beta, alpha
+    and beta*(beta+alpha) == alpha**2: there is none, for any bound.
+
+    The paper's descent proves it.  Let (beta, alpha) be such an exact pair.
+    At alpha = beta the residual is beta**2 and at alpha = 2*beta it is
+    -beta**2, so beta < alpha < 2*beta; if 2*alpha < 3*beta the residual
+    exceeds beta**2/4, so 2*alpha >= 3*beta.  The step
+    (beta, alpha) -> (alpha - beta, beta) negates the residual, as for every
+    pair of integers, so it gives an exact pair again, in the window again
+    (alpha - beta <= beta <= 2*(alpha - beta)), with a smaller positive
+    first member.  Repeated, the steps would reach beta = 1, whose window
+    {1, 2} has residuals +1 and -1.  The isqrt scan over beta is the oracle
+    in tests/.
+    """
+    _as_int(max_beta, "max_beta", 1)
     return None
 
 
 def verify_no_exact_solution(max_beta: int) -> bool:
     """Check beta*(beta+alpha) != alpha**2 for every beta <= max_beta and
-    alpha in [beta, 2*beta].  A bounded consequence check, not a proof."""
+    alpha in [beta, 2*beta]: true for every bound, by the descent in
+    ``find_exact_solution``."""
     return find_exact_solution(max_beta) is None

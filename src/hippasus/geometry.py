@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from collections.abc import Iterator
 from decimal import Decimal, getcontext, localcontext
 
 from .fibonacci import _as_int, _checked_make, _in_range, _pair, fib
@@ -189,6 +190,12 @@ def convergence_table(n_max: int, cfg: PrecisionConfig) -> list[ConvergenceRow]:
     to cfg.digits.  The F(n) are Decimals from the start, summed exactly,
     so no integer is converted.
     """
+    return list(_convergence_rows(n_max, cfg))
+
+
+def _convergence_rows(n_max: int, cfg: PrecisionConfig) -> Iterator[ConvergenceRow]:
+    """convergence_table's rows, one at a time; the arguments are checked
+    at the call, before the first row."""
     n_max = _as_int(n_max, "n_max", 1)
     f_max = fib(n_max)
     if 10 ** (cfg.digits - _GUARD_DIGITS) <= f_max:
@@ -196,24 +203,29 @@ def convergence_table(n_max: int, cfg: PrecisionConfig) -> list[ConvergenceRow]:
             f"digits={cfg.digits} too low for F({n_max}); "
             f"need digits > log10(F(n_max)) + {_GUARD_DIGITS}"
         )
-    rows = []
+    return _rows(n_max, cfg.digits, _digit_count(f_max))
+
+
+def _rows(n_max: int, digits: int, max_digits: int) -> Iterator[ConvergenceRow]:
+    # every operation names its context: a localcontext would stay in force
+    # in the caller between rows
     out = getcontext().copy()  # the caller's rounding, at the published digits
-    out.prec = cfg.digits
-    base = cfg.digits + _GUARD_DIGITS
-    with localcontext() as ctx:
-        # |phi - F(n+1)/F(n)| ~ 1/(sqrt(5)*F(n)**2), so row n's subtraction
-        # cancels about 2*log10(F(n)) leading digits; phi is taken once, at
-        # the last row's width
-        ctx.prec = base + 2 * _digit_count(f_max)
+    out.prec = digits
+    ctx = out.copy()
+    base = digits + _GUARD_DIGITS
+    # |phi - F(n+1)/F(n)| ~ 1/(sqrt(5)*F(n)**2), so row n's subtraction
+    # cancels about 2*log10(F(n)) leading digits; phi is taken once, at the
+    # last row's width
+    ctx.prec = base + 2 * max_digits
+    with localcontext(ctx):
         golden = _golden()
-        a = b = Decimal(1)  # F(n), F(n+1)
-        for n in range(n_max + 1):
-            ctx.prec = base + 2 * (a.adjusted() + 1)
-            ratio = b / a
-            error = golden - ratio  # rounded once, at the row's precision
-            rows.append(ConvergenceRow(n, out.plus(ratio), out.plus(error)))
-            a, b = b, a + b  # exact: F(n+2) is much shorter than the precision
-    return rows
+    a = b = Decimal(1)  # F(n), F(n+1)
+    for n in range(n_max + 1):
+        ctx.prec = base + 2 * (a.adjusted() + 1)
+        ratio = ctx.divide(b, a)
+        error = ctx.subtract(golden, ratio)  # rounded once, at the row's precision
+        yield ConvergenceRow(n, out.plus(ratio), out.plus(error))
+        a, b = b, ctx.add(a, b)  # exact: F(n+2) is much shorter than the precision
 
 
 class OctagonGeometry(

@@ -21,6 +21,27 @@ MANIFEST = GOLDEN.parent / "cli_manifest.txt"
 _BIG_TOKEN = re.compile(r"(?:F\((\d+)\)|(\d+)\*\*(\d+))([+-]\d+)?")
 
 
+# prints the VmHWM raise (kB) across verify convergence at 10,000, then its line
+CONVERGENCE_RSS = """
+import io
+from contextlib import redirect_stdout
+from hippasus.cli import main
+
+def hwm_kb():
+    with open("/proc/self/status") as status:
+        for line in status:
+            if line.startswith("VmHWM:"):
+                return int(line.split()[1])
+
+out = io.StringIO()
+before = hwm_kb()
+with redirect_stdout(out):
+    code = main(["verify", "convergence", "--bound", "10000"])
+assert code == 0
+print(hwm_kb() - before, out.getvalue(), end="")
+"""
+
+
 def run_cli(*args: str, timeout: float | None = None) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, "-m", "hippasus", *args],
@@ -278,35 +299,35 @@ class TestVerify:
         )
 
     def test_unreachable_cassini_bound_is_refused_at_once(self, capsys):
-        # the last residual needs F(1000001); the refusal must come before
-        # the loop, whose smaller residuals alone would take hours
+        # the last residual would need F(1000001), and the smaller residuals
+        # alone would take more than a day; the ceiling refuses the bound first
         from hippasus.cli import main
 
         t0 = time.perf_counter()
         assert main(["verify", "cassini", "--bound", "999999"]) == 2
         assert time.perf_counter() - t0 < 1.0
         assert capsys.readouterr() == (
-            "", "error: index 1000001 exceeds the supported range (max 1000000)\n"
+            "", "error: verify cassini: bound 999999 exceeds the ceiling (max 160000)\n"
         )
         assert main(["verify", "cassini", "--bound", "20"]) == 0
 
     @pytest.mark.parametrize(
         "suite, ceiling",
-        [("equivalence", 500_000_000), ("parity", 5_000_000_000), ("convergence", 40_000)],
+        [("cassini", 160_000), ("equivalence", 500_000_000), ("convergence", 40_000)],
     )
     def test_unreachable_bound_is_refused_at_once(self, monkeypatch, capsys, suite, ceiling):
         # a run past the ceiling would take hours (10**12 betas of
         # equivalence: about two months); the refusal comes before the loop,
-        # whose per-beta calls here fail at once rather than run for hours
+        # whose per-step calls here fail at once rather than run for hours
         from hippasus import cli
 
         def loop_started(*args):
             raise AssertionError("the loop started")
 
         with monkeypatch.context() as patched:
-            patched.setattr(cli, "is_fibonacci_by_descent", loop_started)
-            patched.setattr(cli, "find_exact_solution", loop_started)
-            patched.setattr(cli, "convergence_table", loop_started)
+            patched.setattr(cli, "cassini_residual", loop_started)
+            patched.setattr(cli, "descend", loop_started)
+            patched.setattr(cli, "_convergence_rows", loop_started)
             for bound in (ceiling + 1, 10**12):
                 t0 = time.perf_counter()
                 assert cli.main(["verify", suite, "--bound", str(bound)]) == 2
@@ -316,6 +337,49 @@ class TestVerify:
                 )
         assert cli.main(["verify", suite, "--bound", "20"]) == 0
         assert cli.main(["verify", suite]) == 0  # the default bound
+
+    @pytest.mark.parametrize("bound", [5_000_000_001, 10**100])
+    def test_parity_has_no_ceiling(self, bound):
+        # the descent proves the answer for every bound; no scan runs
+        t0 = time.perf_counter()
+        r = run_cli("verify", "parity", "--bound", str(bound))
+        assert time.perf_counter() - t0 < 1.0
+        assert (r.returncode, r.stdout, r.stderr) == (
+            0, f"verify parity: pass (no exact solution for beta in 1..{bound})\n", ""
+        )
+
+    @pytest.mark.parametrize("route", ["descend", "successors"])
+    def test_equivalence_names_the_route_that_disagrees(self, monkeypatch, capsys, route):
+        # each route is checked against the sequence walk, not against the
+        # other, so a wrong answer from either fails the suite by name
+        from hippasus import cli
+
+        right = getattr(cli, route)
+
+        def wrong_at_89(beta):
+            return right(90 if beta == 89 else beta)
+
+        monkeypatch.setattr(cli, route, wrong_at_89)
+        assert cli.main(["verify", "equivalence", "--bound", "100"]) == 1
+        expected = {
+            "descend": "descent index None, sequence 10",
+            "successors": "successors (), sequence (144,)",
+        }[route]
+        assert capsys.readouterr() == (
+            f"verify equivalence: FAIL at beta=89: {expected}\n", ""
+        )
+
+    def test_convergence_holds_two_rows(self):
+        # the rows stream: at bound 10,000 every row at the digits of
+        # F(10000) would raise the peak by about 25 MB (CPython 3.11)
+        if not os.path.exists("/proc/self/status"):
+            pytest.skip("needs /proc/self/status for VmHWM")
+        r = subprocess.run([sys.executable, "-c", CONVERGENCE_RSS], capture_output=True,
+                           text=True, timeout=60)
+        assert r.returncode == 0, r.stderr
+        raise_kb, line = r.stdout.split(" ", 1)
+        assert line == "verify convergence: pass (n in 1..10000 at 2105 digits)\n"
+        assert int(raise_kb) < 4_000, raise_kb
 
     def test_unknown_suite_is_usage_error(self):
         assert run_cli("verify", "collatz").returncode == 2

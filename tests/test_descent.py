@@ -119,6 +119,20 @@ def exact_solutions_by_scan(max_beta: int) -> dict[int, int]:
     return found
 
 
+def exact_solution_by_isqrt(max_beta: int) -> tuple[int, int] | None:
+    """Reference: the per-beta isqrt scan.  The only positive root is
+    alpha = (beta + sqrt(5*beta^2)) / 2, integral iff 5*beta^2 is a perfect
+    square whose root has beta's parity."""
+    for beta in range(1, max_beta + 1):
+        disc = 5 * beta * beta
+        root = isqrt(disc)
+        if root * root == disc and (beta + root) % 2 == 0:
+            alpha = (beta + root) // 2
+            if beta <= alpha <= 2 * beta and beta * (beta + alpha) == alpha * alpha:
+                return beta, alpha
+    return None
+
+
 class TestResidual:
     def test_table_pairs(self):
         assert hippasus_residual(5, 8) == 1     # 5*13 - 64
@@ -483,6 +497,7 @@ class TestNoExactSolution:
             if first is None and b in scan:
                 first = (b, scan[b])
             assert find_exact_solution(b) == first, b
+        assert find_exact_solution(10**6) == exact_solution_by_isqrt(10**6)
 
     def test_requires_positive(self):
         with pytest.raises(ValueError):

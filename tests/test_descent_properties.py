@@ -121,3 +121,46 @@ def test_successors_match_closed_form(beta):
 @given(near_big_fibs)
 def test_descend_matches_walk(beta):
     assert descend(beta) == descend_by_walk(beta)
+
+
+# the lemmas of find_exact_solution's proof, over integers of up to 10**4
+# digits, drawn by length so that long ones are as likely as short ones
+lengths = st.integers(min_value=1, max_value=10**4)
+signed_operands = lengths.flatmap(lambda d: st.integers(min_value=-(10**d), max_value=10**d))
+positive_operands = lengths.flatmap(lambda d: st.integers(min_value=1, max_value=10**d))
+
+
+def _residual(beta, alpha):
+    return beta * (beta + alpha) - alpha * alpha
+
+
+@relaxed
+@given(signed_operands, signed_operands)
+def test_step_negates_the_residual(beta, alpha):
+    # (beta, alpha) -> (alpha - beta, beta), for every pair of integers
+    assert _residual(alpha - beta, beta) == -_residual(beta, alpha)
+    if beta >= 1 and alpha >= 1:
+        assert hippasus_residual(beta, alpha) == _residual(beta, alpha)
+        if alpha > beta:
+            assert hippasus_residual(alpha - beta, beta) == -hippasus_residual(beta, alpha)
+
+
+@relaxed
+@given(positive_operands, st.data())
+def test_window_edges_and_lower_third_miss_zero(beta, data):
+    # alpha = beta, alpha = 2*beta and beta <= alpha with 2*alpha < 3*beta
+    # leave residuals beta**2, -beta**2 and more than beta**2/4
+    assert hippasus_residual(beta, beta) == beta * beta
+    assert hippasus_residual(beta, 2 * beta) == -beta * beta
+    alpha = data.draw(st.integers(min_value=beta, max_value=(3 * beta - 1) // 2))
+    assert 4 * hippasus_residual(beta, alpha) > beta * beta
+
+
+@relaxed
+@given(positive_operands.map(lambda beta: beta + 1), st.data())
+def test_step_stays_in_the_window(beta, data):
+    # beta < alpha < 2*beta and 2*alpha >= 3*beta put (alpha - beta, beta)
+    # in its window, with a smaller positive first member
+    alpha = data.draw(st.integers(min_value=(3 * beta + 1) // 2, max_value=2 * beta - 1))
+    low, high = alpha - beta, beta
+    assert 0 < low < beta and low <= high <= 2 * low
