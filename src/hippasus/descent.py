@@ -9,20 +9,20 @@ directions:
 * ``successors`` finds the witnesses.  Every beta >= 2 has at most one
   successor, and it lies strictly inside the window (beta, 2*beta); beta = 1
   is the one ambiguous case, with successors {1, 2}.
-* ``descend`` decides membership by the successor search and returns the
+* ``descend`` decides membership by the same search and returns the
   subtractive descent (beta, alpha) -> (alpha - beta, beta) from beta = F(i).
   Each step keeps the residual at magnitude 1 while flipping its sign, and
   the first components decrease strictly, so the walk visits F(i), ..., F(0)
   and ends in the terminal pattern (2, 1, 1): it is fixed by i.  The index
-  comes from the index lookup and ``DescentTrace`` certifies it by
+  comes from the lookup that certified beta and ``DescentTrace`` re-asserts
   fib(i) == beta; ``steps`` and the CLI run the paper's step.
 * ``verify_no_exact_solution`` shows by the same descent that the residual
   is never exactly 0 -- the integer shadow of the incommensurability of a
   regular pentagon's side and diagonal.
 
-Above 2**60 ``successors`` takes a sub-quadratic path whose every answer is
-certified without the sequence: a "no" by a residue sieve or an isqrt test,
-a "yes" by a residual of +1 or -1 inside the window.
+Both decide by ``_decide``, which certifies every answer: up to 2**60 by the
+closed form, above it sub-quadratically, by a residue sieve or by one index
+lookup whose bracket F(i-1) < beta <= F(i) has a residual of +1 or -1.
 """
 from __future__ import annotations
 
@@ -30,12 +30,12 @@ from collections import namedtuple
 from collections.abc import Iterator
 from math import isqrt, prod
 
-from .fibonacci import _as_int, _checked_make, _locate, _pair, fib, fib_index_of
+from .fibonacci import _as_int, _checked_make, _locate, _pair, fib
 
-# Above this beta, successors takes the big-operand path (sieve, certified
-# candidate).  A measured size selection: below it the two-isqrt test is the
-# cheaper (1.3-1.9 us a call for beta near 10^5, against 2.1-2.5 us on the
-# sieve path, on a 2-vCPU VM); above it isqrt's quadratic cost grows with beta.
+# Above this beta, _decide takes the sieve and one certified lookup.  A measured
+# size selection: below it the two-isqrt closed form is the cheaper (0.35-0.67
+# us against 0.61-0.79 us for a lookup and a bracket certificate, beta near
+# 10^5, 2-vCPU VM); above it isqrt's quadratic cost grows with beta.
 _BIG = 1 << 60
 
 # If beta is a Fibonacci number, 5*beta**2 - 4 or 5*beta**2 + 4 is a square,
@@ -81,7 +81,12 @@ def is_hippasus_pair(beta: int, alpha: int) -> bool:
 
 
 class HippasusPair(namedtuple("HippasusPair", "beta alpha sign")):
-    """A certified (beta, alpha, sign) triple with residual exactly `sign`."""
+    """A certified (beta, alpha, sign) triple with residual exactly `sign`.
+
+    It lies in the window: for beta >= 2, g(alpha) = beta**2 + beta*alpha -
+    alpha**2 falls for alpha > beta/2, from g(beta) = beta**2 to g(2*beta) =
+    -beta**2, so alpha >= beta and |g| = 1 give beta < alpha < 2*beta.
+    """
 
     __slots__ = ()
     _make = classmethod(_checked_make)
@@ -95,10 +100,6 @@ class HippasusPair(namedtuple("HippasusPair", "beta alpha sign")):
         residual = beta * (beta + alpha) - alpha * alpha
         if residual != sign:
             raise ValueError(f"residual of ({beta}, {alpha}) is {residual}, not {sign}")
-        if beta > 1 and not (beta < alpha < 2 * beta):
-            raise ValueError(
-                f"alpha must lie strictly between beta and 2*beta, got ({beta}, {alpha})"
-            )
         return super().__new__(cls, beta, alpha, sign)
 
     @classmethod
@@ -154,22 +155,34 @@ class DescentTrace(namedtuple("DescentTrace", "beta recovered_index")):
             b, a = a - b, b
 
 
-def _certified(beta: int) -> tuple[int, int] | tuple[()] | None:
-    """The big-operand answer for beta > _BIG, where one is certified.
+def _decide(beta: int) -> tuple[int, int] | None:
+    """(i, F(i+1)) when beta = F(i), else None; every answer is certified.
 
-    () when a residue certifies that beta is not a Fibonacci number.
-    (i, alpha) when the index lookup's F(i) >= beta and alpha = F(i+1) make
-    a residual of +1 or -1 with alpha inside (beta, 2*beta): for beta >= 2
-    such an alpha is the unique successor, so beta is a Fibonacci number and,
-    the lookup being exact, beta = F(i).  None when the candidate fails; the
-    isqrt test, ``_by_isqrt``, then decides.
+    Up to _BIG, the closed form alpha = (beta + sqrt(5*beta**2 -/+ 4)) / 2: an
+    exact root r has r >= beta and beta's parity, and a hit's +/-1 residual
+    is the "yes"; the lookup then gives i (0 for beta = 1).  Above _BIG, a
+    residue rejection is a "no".  Else the lookup brackets beta by
+    low = F(i-1) < beta <= F(i) = high.  A +/-1 residual makes (low, high)
+    consecutive Fibonacci numbers, with none strictly between, so beta is a
+    member iff beta = high; the step up gives (high, F(i+1)) the opposite
+    residual, so it certifies the "yes" too.  A failed check raises RuntimeError.
     """
+    if beta <= _BIG:
+        b5 = 5 * beta * beta
+        for disc in (b5 - 4, b5 + 4):
+            root = isqrt(disc)
+            if root * root == disc:
+                alpha = (beta + root) // 2
+                if beta * (beta + alpha) - alpha * alpha in (1, -1):
+                    return _locate(beta)[0], alpha
+        return None
     if _sieve_rejects(beta):
-        return ()
-    i, _, alpha = _locate(beta)
-    if beta < alpha < 2 * beta and beta * (beta + alpha) - alpha * alpha in (1, -1):
-        return i, alpha
-    return None
+        return None
+    i, high, alpha = _locate(beta)
+    low = alpha - high
+    if not (0 < low < beta <= high and low * (low + high) - high * high in (1, -1)):
+        raise RuntimeError(f"index lookup gave ({low}, {high}), which does not certify {beta}")
+    return (i, alpha) if beta == high else None
 
 
 def successors(beta: int) -> SuccessorSet:
@@ -180,31 +193,10 @@ def successors(beta: int) -> SuccessorSet:
     """
     if type(beta) is not int or beta < 1:  # the call would cost ~7 % of a small call
         beta = _as_int(beta, "beta", 1)
-    if beta > _BIG:
-        certified = _certified(beta)
-        if certified is not None:
-            return SuccessorSet(beta, certified[1:])  # () or (alpha,)
-    return SuccessorSet(beta, _by_isqrt(beta))
-
-
-def _by_isqrt(beta: int) -> tuple[int, ...]:
-    """The successors of beta >= 1 by two isqrt calls, ascending.
-
-    alpha solves alpha^2 - beta*alpha - beta^2 = -/+1, so
-    alpha = (beta + sqrt(5*beta^2 -/+ 4)) / 2 -- integral iff the
-    discriminant is a perfect square of parity matching beta.  The two
-    discriminants differ, so the roots found are distinct and ascending.
-    Differentially tested against the window scan in tests/.
-    """
-    b5 = 5 * beta * beta
-    found = []
-    for disc in (b5 - 4, b5 + 4):
-        root = isqrt(disc)
-        if root * root == disc and (beta + root) % 2 == 0:
-            alpha = (beta + root) // 2
-            if alpha >= beta and beta * (beta + alpha) - alpha * alpha in (1, -1):
-                found.append(alpha)
-    return tuple(found)
+    if beta == 1:
+        return SuccessorSet(1, (1, 2))
+    decided = _decide(beta)
+    return SuccessorSet(beta, () if decided is None else decided[1:])
 
 
 def unique_successor(beta: int) -> int:
@@ -238,25 +230,16 @@ def extend(pair: HippasusPair) -> HippasusPair:
 def descend(beta: int) -> DescentTrace | None:
     """Decide membership by the successor search; None means not Hippasus.
 
-    A member's descent is the walk F(i), ..., F(0), fixed by i.  For beta >= 2
-    the +/-1 residual in the window certifies that beta is a Fibonacci number.
-    Above 2**60 the lookup that found the successor F(i+1) also gives i, so
-    a member costs one fast doubling there; below it the index lookup gives
-    i.  DescentTrace re-asserts fib(i) == beta.  ``steps`` and the CLI run
-    the paper's step from F(i).  beta = 1 returns the degenerate
-    single-entry trace with index 0.
+    A member's descent is the walk F(i), ..., F(0), fixed by i, and i comes
+    from the index lookup that certified beta, so a member costs one lookup.
+    DescentTrace re-asserts fib(i) == beta.  ``steps`` and the CLI run the
+    paper's step from F(i).  beta = 1 returns the degenerate single-entry
+    trace with index 0.
     """
     if type(beta) is not int or beta < 1:  # as in successors
         beta = _as_int(beta, "beta", 1)
-    if beta > _BIG:
-        certified = _certified(beta)
-        if certified is not None:
-            return DescentTrace(beta, certified[0]) if certified else None
-        # a non-member past the sieve (about 1.4 % of random 4000-bit
-        # values): the isqrt test, which costs about ten lookups, gives the "no"
-    if not _by_isqrt(beta):
-        return None
-    return DescentTrace(beta, fib_index_of(beta))
+    decided = _decide(beta)
+    return None if decided is None else DescentTrace(beta, decided[0])
 
 
 def is_fibonacci_by_descent(beta: int) -> bool:

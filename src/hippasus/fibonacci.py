@@ -137,5 +137,13 @@ def is_consecutive_fib(x: int, y: int) -> bool:
 
 
 def cassini_residual(i: int) -> int:
-    """F(i)*F(i+2) - F(i+1)^2, computed exactly; equals (-1)**i."""
-    return fib(i) * fib(i + 2) - fib(i + 1) ** 2
+    """F(i)*F(i+2) - F(i+1)^2, computed exactly; equals (-1)**i.
+
+    F(i+2) = F(i) + F(i+1), so it is the Hippasus residual of (F(i), F(i+1)),
+    the paper's link between the two, from two ``fib`` calls.
+    """
+    if type(i) is not int or i < 0:  # as in fib
+        i = _as_int(i, "index", 0)
+    _in_range(i + 2)
+    a, b = fib(i), fib(i + 1)
+    return a * (a + b) - b * b

@@ -41,6 +41,10 @@ print(hwm_kb() - before, trace.recovered_index)
 """
 
 
+# the first value above F(100) that every sieve residue admits
+SIEVE_PASS_101 = next(b for b in range(fib(100) + 1, fib(101)) if not descent._sieve_rejects(b))
+
+
 def successors_by_scan(beta: int) -> tuple[int, ...]:
     """Reference: test every alpha the window bounds allow.
 
@@ -53,6 +57,20 @@ def successors_by_scan(beta: int) -> tuple[int, ...]:
         for alpha in candidates
         if beta * (beta + alpha) - alpha * alpha in (1, -1)
     )
+
+
+# prints the first offset d past F(10^6) that the sieve admits, then
+# descend's answer on F(10^6) + d and its wall time
+SIEVE_PASS_TIMING = """
+import time
+from hippasus import descend, descent, fib
+
+beta = fib(10**6)
+d = next(d for d in range(1, 10**4) if not descent._sieve_rejects(beta + d))
+start = time.perf_counter()
+missing = descend(beta + d)
+print(d, missing is None, time.perf_counter() - start)
+"""
 
 
 # prints descend's wall time on F(10^6) and on F(10^6) + 1, with its answers
@@ -225,10 +243,9 @@ class TestSuccessors:
             for beta in (fib(i) - 1, fib(i), fib(i) + 1, fib(i) + 2):
                 assert successors(beta).successors == successors_by_isqrt(beta), (i, beta)
 
-    def test_sieve_pass_falls_back_to_isqrt(self):
-        # a non-member just below F(100) that the sieve lets through: its
-        # candidate F(101) lies in the window, so its residual refuses it,
-        # and then the isqrt test does
+    def test_sieve_pass_below_a_fib_is_refused(self):
+        # a non-member just below F(100) that the sieve lets through, with
+        # F(101) inside its window: the bracket (F(99), F(100)) refuses it
         top = fib(100)
         beta = next(b for b in range(top - 1, top - 10**5, -1) if not descent._sieve_rejects(b))
         assert beta < fib(101) < 2 * beta
@@ -347,6 +364,17 @@ class TestDescend:
         assert float(member_s) < 5.0
         assert float(non_member_s) < 0.1
 
+    def test_big_non_member_past_the_sieve_is_fast(self):
+        # one lookup and the bracket's residual; an isqrt test of 5*beta**2 +/- 4
+        # takes about 1.6 s at this size
+        run = subprocess.run(
+            [sys.executable, "-c", SIEVE_PASS_TIMING], capture_output=True, text=True
+        )
+        assert run.returncode == 0, run.stderr
+        offset, missing, seconds = run.stdout.split()
+        assert (int(offset), missing) == (161, "True")
+        assert float(seconds) < 0.8
+
     def test_descent_memory_is_bounded(self):
         # the walk holds two values at a time; a stored trace of F(10^5)
         # would hold about 0.35 * (10^5)^2 bits
@@ -363,8 +391,9 @@ class TestDescend:
 
 class TestJump:
     def test_one_jump_suffices(self, monkeypatch):
-        # above 2**60 the index comes from the one lookup of beta itself that
-        # also finds the certified successor: no walk, no second lookup
+        # the index comes from the one lookup of beta itself: above 2**60 it
+        # also finds the certified successor, below it follows the closed
+        # form's hit; no walk, no second lookup
         lookups = []
 
         def spy(b):
@@ -372,14 +401,9 @@ class TestJump:
             lookups.append((b, found[0]))
             return found
 
-        def no_index_lookup(b):
-            raise AssertionError(f"fib_index_of({b}) called")
-
         locate = descent._locate
         monkeypatch.setattr(descent, "_locate", spy)
-        monkeypatch.setattr(descent, "fib_index_of", no_index_lookup)
-        assert fib(90) > 2**60
-        for i in range(90, 5001):
+        for i in range(2, 5001):
             lookups.clear()
             assert descend(fib(i)).recovered_index == i
             assert lookups == [(fib(i), i)], i
@@ -403,11 +427,11 @@ class TestJump:
             assert descend(fib(i) + 1) is None
             assert sieved == [fib(i) + 1]
 
-    def test_non_member_past_the_sieve_is_refused_by_isqrt(self, monkeypatch):
+    def test_non_member_past_the_sieve_is_refused_by_its_bracket(self, monkeypatch):
         # a value strictly between two Fibonacci numbers that every residue
-        # admits: the candidate fails its residual and isqrt gives the "no",
-        # after one sieve and one lookup
-        beta = next(b for b in range(fib(100) + 1, fib(101)) if not descent._sieve_rejects(b))
+        # admits: the lookup's bracket (F(100), F(101)) gives the
+        # "no", after one sieve and one lookup, with no isqrt
+        beta = SIEVE_PASS_101
         calls = {"isqrt": [], "_sieve_rejects": [], "_locate": []}
 
         def spy(name):
@@ -422,14 +446,33 @@ class TestJump:
         for name in calls:
             monkeypatch.setattr(descent, name, spy(name))
         assert descend(beta) is None
-        assert calls == {
-            "isqrt": [5 * beta * beta - 4, 5 * beta * beta + 4],
-            "_sieve_rejects": [beta],
-            "_locate": [beta],
-        }
+        assert calls == {"isqrt": [], "_sieve_rejects": [beta], "_locate": [beta]}
+
+    @pytest.mark.parametrize(
+        "beta, lookup",
+        [
+            # a member whose successor is off by one
+            (fib(100), (100, fib(100), fib(101) + 1)),
+            # a non-member past the sieve: a bracket whose low end is off
+            (SIEVE_PASS_101, (101, fib(101), fib(102) + 1)),
+            # a non-member past the sieve: a consecutive pair above beta
+            (SIEVE_PASS_101, (102, fib(102), fib(103))),
+            # a member given the pair below it
+            (fib(100), (99, fib(99), fib(100))),
+            # a member given the pair above it, whose low end is beta itself
+            (fib(100), (101, fib(101), fib(102))),
+        ],
+    )
+    def test_lookup_that_fails_its_certificate_raises(self, monkeypatch, beta, lookup):
+        assert beta > 2**60 and not descent._sieve_rejects(beta)
+        monkeypatch.setattr(descent, "_locate", lambda b: lookup)
+        with pytest.raises(RuntimeError, match="does not certify"):
+            descend(beta)
+        with pytest.raises(RuntimeError, match="does not certify"):
+            successors(beta)
 
     def test_small_descent_builds_no_successor_set(self, monkeypatch):
-        # below 2**60 descend reads the isqrt test's tuple directly
+        # descend reads _decide's answer directly
         def no_successors(b):
             raise AssertionError(f"successors({b}) called")
 

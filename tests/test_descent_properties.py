@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from hippasus.descent import (  # noqa: E402
     DescentTrace,
     HippasusPair,
+    NotHippasusError,
     descend,
     hippasus_residual,
     successors,
@@ -52,6 +53,34 @@ def test_trace_refuses_wrong_index(i):
 @given(indices)
 def test_pair_sign_is_index_parity(i):
     assert HippasusPair.from_beta_alpha(fib(i), fib(i + 1)).sign == (-1) ** i
+
+
+# (beta, alpha) with 2 <= beta <= 10**30 and beta <= alpha <= 3*beta: half the
+# draws lie next to a consecutive pair (F(i), F(i+1)), which a uniform draw
+# would almost never reach
+window_draws = st.one_of(
+    st.integers(min_value=2, max_value=10**30).flatmap(
+        lambda beta: st.tuples(st.just(beta), st.integers(min_value=beta, max_value=3 * beta))
+    ),
+    st.builds(
+        lambda i, d: (fib(i), fib(i + 1) + d),
+        st.integers(min_value=3, max_value=144),  # F(144) < 10**30 < F(145)
+        st.integers(min_value=-2, max_value=2),
+    ),
+)
+
+
+@relaxed
+@given(window_draws)
+def test_pair_lies_inside_the_window(draw):
+    # HippasusPair needs no window check: alpha >= beta and a +/-1 residual
+    # force beta < alpha < 2*beta
+    beta, alpha = draw
+    try:
+        pair = HippasusPair.from_beta_alpha(beta, alpha)
+    except NotHippasusError:
+        return
+    assert pair.beta < pair.alpha < 2 * pair.beta
 
 
 @relaxed

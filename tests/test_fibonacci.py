@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -266,3 +267,12 @@ class TestCassini:
     def test_alternating_identity(self):
         for i in range(0, 301):
             assert cassini_residual(i) == (-1) ** i
+
+    def test_refuses_past_the_range_before_any_fib(self):
+        # F(i + 2) lies past MAX_INDEX: refused before a fast doubling runs
+        start = time.perf_counter()
+        refusal = r"^index 1000001 exceeds the supported range \(max 1000000\)$"
+        with pytest.raises(ValueError, match=refusal):
+            cassini_residual(MAX_INDEX - 1)
+        assert time.perf_counter() - start < 0.1
+        assert cassini_residual(MAX_INDEX - 2) == 1
