@@ -20,46 +20,46 @@ directions:
   is never exactly 0 -- the integer shadow of the incommensurability of a
   regular pentagon's side and diagonal.
 
-Both decide by ``_decide``, which certifies every answer: up to 2**60 by the
-closed form, above it sub-quadratically, by a residue sieve or by one index
+Both decide by ``_decide``, which certifies every answer the same way at
+every size: a "no" by a residue that no Fibonacci number has, or by one index
 lookup whose bracket F(i-1) < beta <= F(i) has a residual of +1 or -1.
 """
 from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterator
-from math import isqrt, prod
+from math import prod
 
 from .fibonacci import _as_int, _checked_make, _locate, _pair, fib
 
-# Above this beta, _decide takes the sieve and one certified lookup.  A measured
-# size selection: below it the two-isqrt closed form is the cheaper (0.35-0.67
-# us against 0.61-0.79 us for a lookup and a bracket certificate, beta near
-# 10^5, 2-vCPU VM); above it isqrt's quadratic cost grows with beta.
-_BIG = 1 << 60
-
-# If beta is a Fibonacci number, 5*beta**2 - 4 or 5*beta**2 + 4 is a square,
-# so it is a square modulo every m (Cohen, A Course in Computational
-# Algebraic Number Theory, 1.7.2).  Each set holds the residues r mod m for
-# which 5r^2 -/+ 4 is a square mod m, built from the squares alone.
-_SIEVE_MODULI = (64, 63, 65, 11, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
-_SIEVE_PRODUCT = prod(_SIEVE_MODULI)  # 84 bits: one big reduction, then small ones
+# If beta = F(j), beta mod m is F(j) mod m.  The pair map (a, b) -> (b, a + b)
+# mod m has the inverse (a, b) -> (b - a, a), so its walk from (1, 1) is one
+# cycle back to (1, 1) and meets every residue a Fibonacci number can have.
+# The moduli, picked greedily below 2000 by how many values near F(n) and random
+# values each rejects, have periods 96, 176 and 90 and 61, 87 and 67 residues.
+_SIEVE_MODULI = (1692, 1841, 1991)  # 2**2 * 3**2 * 47, 7 * 263, 11 * 181
+_SIEVE_PRODUCT = prod(_SIEVE_MODULI)  # 33 bits: one big reduction, then small ones
 
 
-def _admissible(m: int) -> frozenset[int]:
-    squares = {x * x % m for x in range(m)}
-    return frozenset(
-        r for r in range(m) if (5 * r * r - 4) % m in squares or (5 * r * r + 4) % m in squares
-    )
+def _residues(m: int) -> frozenset[int]:
+    seen, a, b = set(), 1, 1
+    while True:
+        seen.add(a)
+        a, b = b, (a + b) % m
+        if a == b == 1:
+            return frozenset(seen)
 
 
-_SIEVE = tuple((m, _admissible(m)) for m in _SIEVE_MODULI)
+_SIEVE = tuple((m, _residues(m)) for m in _SIEVE_MODULI)
 
 
 def _sieve_rejects(beta: int) -> bool:
     """True when a residue certifies that beta is not a Fibonacci number."""
     r = beta % _SIEVE_PRODUCT
-    return any(r % m not in admissible for m, admissible in _SIEVE)
+    for m, residues in _SIEVE:  # any() over a generator doubles a small call
+        if r % m not in residues:
+            return True
+    return False
 
 
 class NotHippasusError(ValueError):
@@ -158,24 +158,15 @@ class DescentTrace(namedtuple("DescentTrace", "beta recovered_index")):
 def _decide(beta: int) -> tuple[int, int] | None:
     """(i, F(i+1)) when beta = F(i), else None; every answer is certified.
 
-    Up to _BIG, the closed form alpha = (beta + sqrt(5*beta**2 -/+ 4)) / 2: an
-    exact root r has r >= beta and beta's parity, and a hit's +/-1 residual
-    is the "yes"; the lookup then gives i (0 for beta = 1).  Above _BIG, a
-    residue rejection is a "no".  Else the lookup brackets beta by
+    beta = 1 is F(0), below every bracket.  Otherwise a residue that no
+    Fibonacci number has is a "no"; else the lookup brackets beta by
     low = F(i-1) < beta <= F(i) = high.  A +/-1 residual makes (low, high)
     consecutive Fibonacci numbers, with none strictly between, so beta is a
     member iff beta = high; the step up gives (high, F(i+1)) the opposite
     residual, so it certifies the "yes" too.  A failed check raises RuntimeError.
     """
-    if beta <= _BIG:
-        b5 = 5 * beta * beta
-        for disc in (b5 - 4, b5 + 4):
-            root = isqrt(disc)
-            if root * root == disc:
-                alpha = (beta + root) // 2
-                if beta * (beta + alpha) - alpha * alpha in (1, -1):
-                    return _locate(beta)[0], alpha
-        return None
+    if beta == 1:
+        return 0, 1
     if _sieve_rejects(beta):
         return None
     i, high, alpha = _locate(beta)
@@ -259,8 +250,7 @@ def find_exact_solution(max_beta: int) -> tuple[int, int] | None:
     pair of integers, so it gives an exact pair again, in the window again
     (alpha - beta <= beta <= 2*(alpha - beta)), with a smaller positive
     first member.  Repeated, the steps would reach beta = 1, whose window
-    {1, 2} has residuals +1 and -1.  The isqrt scan over beta is the oracle
-    in tests/.
+    {1, 2} has residuals +1 and -1.  A scan over beta is the oracle in tests/.
     """
     _as_int(max_beta, "max_beta", 1)
     return None

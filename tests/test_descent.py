@@ -60,13 +60,15 @@ def successors_by_scan(beta: int) -> tuple[int, ...]:
 
 
 # prints the first offset d past F(10^6) that the sieve admits, then
-# descend's answer on F(10^6) + d and its wall time
+# descend's answer on F(10^6) + d and its wall time; d is found from beta's
+# residue, since one sieve call on the full value per d would take seconds
 SIEVE_PASS_TIMING = """
 import time
 from hippasus import descend, descent, fib
 
 beta = fib(10**6)
-d = next(d for d in range(1, 10**4) if not descent._sieve_rejects(beta + d))
+r = beta % descent._SIEVE_PRODUCT
+d = next(d for d in range(1, 10**6) if not descent._sieve_rejects(r + d))
 start = time.perf_counter()
 missing = descend(beta + d)
 print(d, missing is None, time.perf_counter() - start)
@@ -123,6 +125,15 @@ def pisano_residues(m: int) -> set[int]:
         a, b = b, (a + b) % m
         if (a, b) == (1 % m, 1 % m):
             return seen
+
+
+def square_residues(m: int) -> set[int]:
+    """Reference: the residues r mod m for which 5*r**2 - 4 or 5*r**2 + 4
+    is a square mod m.  5*F(i)**2 + 4*(-1)**i is the square of the Lucas
+    number L(i), so it is a square modulo every m, and every F(i) mod m is
+    among these."""
+    squares = {x * x % m for x in range(m)}
+    return {r for r in range(m) if (5 * r * r - 4) % m in squares or (5 * r * r + 4) % m in squares}
 
 
 def exact_solutions_by_scan(max_beta: int) -> dict[int, int]:
@@ -238,10 +249,20 @@ class TestSuccessors:
             successors(0)
 
     def test_matches_closed_form_across_threshold(self):
-        # F(87) < 2**60 < F(88): both sides of the big-operand path
         for i in list(range(80, 100)) + [2045, 2046, 2047, 2048, 5000]:
             for beta in (fib(i) - 1, fib(i), fib(i) + 1, fib(i) + 2):
                 assert successors(beta).successors == successors_by_isqrt(beta), (i, beta)
+
+    def test_matches_closed_form_and_walk_on_every_small_beta(self):
+        index = {}
+        a, b, i = 1, 1, 0
+        while a <= 2 * 10**5:
+            index.setdefault(a, i)
+            a, b, i = b, a + b, i + 1
+        for beta in range(1, 2 * 10**5 + 1):
+            assert successors(beta).successors == successors_by_isqrt(beta), beta
+            trace = descend(beta)
+            assert (None if trace is None else trace.recovered_index) == index.get(beta), beta
 
     def test_sieve_pass_below_a_fib_is_refused(self):
         # a non-member just below F(100) that the sieve lets through, with
@@ -372,7 +393,7 @@ class TestDescend:
         )
         assert run.returncode == 0, run.stderr
         offset, missing, seconds = run.stdout.split()
-        assert (int(offset), missing) == (161, "True")
+        assert (int(offset), missing) == (49_665, "True")
         assert float(seconds) < 0.8
 
     def test_descent_memory_is_bounded(self):
@@ -391,9 +412,8 @@ class TestDescend:
 
 class TestJump:
     def test_one_jump_suffices(self, monkeypatch):
-        # the index comes from the one lookup of beta itself: above 2**60 it
-        # also finds the certified successor, below it follows the closed
-        # form's hit; no walk, no second lookup
+        # the index comes from the one lookup of beta itself, which also
+        # finds the certified successor; no walk, no second lookup
         lookups = []
 
         def spy(b):
@@ -430,9 +450,9 @@ class TestJump:
     def test_non_member_past_the_sieve_is_refused_by_its_bracket(self, monkeypatch):
         # a value strictly between two Fibonacci numbers that every residue
         # admits: the lookup's bracket (F(100), F(101)) gives the
-        # "no", after one sieve and one lookup, with no isqrt
+        # "no", after one sieve and one lookup
         beta = SIEVE_PASS_101
-        calls = {"isqrt": [], "_sieve_rejects": [], "_locate": []}
+        calls = {"_sieve_rejects": [], "_locate": []}
 
         def spy(name):
             real = getattr(descent, name)
@@ -446,7 +466,7 @@ class TestJump:
         for name in calls:
             monkeypatch.setattr(descent, name, spy(name))
         assert descend(beta) is None
-        assert calls == {"isqrt": [], "_sieve_rejects": [beta], "_locate": [beta]}
+        assert calls == {"_sieve_rejects": [beta], "_locate": [beta]}
 
     @pytest.mark.parametrize(
         "beta, lookup",
@@ -461,10 +481,14 @@ class TestJump:
             (fib(100), (99, fib(99), fib(100))),
             # a member given the pair above it, whose low end is beta itself
             (fib(100), (101, fib(101), fib(102))),
+            # the certificate guards small values too: a member given the
+            # pair above it, and a non-member past the sieve whose low end is off
+            (13, (7, 21, 34)),
+            (1836, (17, 2584, 4182)),
         ],
     )
     def test_lookup_that_fails_its_certificate_raises(self, monkeypatch, beta, lookup):
-        assert beta > 2**60 and not descent._sieve_rejects(beta)
+        assert not descent._sieve_rejects(beta)
         monkeypatch.setattr(descent, "_locate", lambda b: lookup)
         with pytest.raises(RuntimeError, match="does not certify"):
             descend(beta)
@@ -485,13 +509,24 @@ class TestJump:
 
 class TestSieve:
     def test_admits_every_fibonacci_residue(self):
-        for m, admissible in descent._SIEVE:
-            assert pisano_residues(m) <= admissible, m
+        for m, residues in descent._SIEVE:
+            assert residues == pisano_residues(m), m
+            assert residues <= square_residues(m), m
+        # many periods of each modulus, whatever _SIEVE holds
+        for j in range(5001):
+            assert not descent._sieve_rejects(fib(j)), j
 
     def test_rejects_most_non_members(self):
         passed = sum(not descent._sieve_rejects(beta) for beta in range(1, 10**5 + 1))
-        assert passed < 2000  # 25 of them are Fibonacci numbers
+        assert passed <= 30  # 27: the 24 Fibonacci values, 1836, 11789 and 81237
         assert descent._sieve_rejects(fib(10**5) + 1)
+
+    def test_rejects_values_near_fibonacci_numbers(self):
+        # the values a near miss produces; about 1.7 % of them pass a sieve
+        # on 5*beta**2 +/- 4 being a square modulo 16 moduli
+        near = [fib(n) + d for n in range(1000, 1100) for d in range(-40, 41) if d]
+        passed = sum(not descent._sieve_rejects(beta) for beta in near)
+        assert passed <= len(near) // 1000
 
 
 class TestCassiniCorrespondence:
@@ -565,16 +600,15 @@ class TestIntegerBoundary:
         assert (pair.beta, pair.alpha) == (fib(90), fib(91))
         assert {type(v) for v in pair} == {int}
 
-    def test_numpy_integers_above_threshold(self):
+    def test_numpy_integers_near_the_int64_top(self):
         np = pytest.importorskip("numpy")
-        assert fib(88) > descent._BIG > fib(87)
         for i in range(88, 92):  # F(91) is the largest Fibonacci int64
             beta = np.int64(fib(i))
             assert successors(beta).successors == (fib(i + 1),)
             assert descend(beta).recovered_index == i
             assert successors(beta + 1).successors == ()
             assert descend(beta + 1) is None
-        beta = np.int64(descent._BIG + 1)
+        beta = np.int64(2**60 + 1)
         assert successors(beta).successors == successors_by_isqrt(int(beta))
 
     @pytest.mark.parametrize("bad", [2.0, True, 1.5])

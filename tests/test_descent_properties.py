@@ -131,8 +131,8 @@ def test_fib_has_one_successor(i):
     assert successors(fib(i)).successors == (fib(i + 1),)
 
 
-# F(i) + d above 2**60, where successors and descend take the
-# sieve, the certified candidate and the jump
+# F(i) + d above 2**60, where the sieve, the lookup and its bracket
+# work on multi-word integers
 near_big_fibs = st.builds(
     lambda i, d: fib(i) + d,
     st.integers(min_value=90, max_value=3000),
@@ -149,6 +149,25 @@ def test_successors_match_closed_form(beta):
 @relaxed
 @given(near_big_fibs)
 def test_descend_matches_walk(beta):
+    assert descend(beta) == descend_by_walk(beta)
+
+
+# beta in [2**30, 2**64], one to two machine words: members and their
+# neighbours (F(43) < 2**30 < F(44), F(92) < 2**64 < F(93)) and plain values
+word_sized = st.one_of(
+    st.builds(
+        lambda i, d: fib(i) + d,
+        st.integers(min_value=44, max_value=92),
+        st.integers(min_value=-50, max_value=50),
+    ),
+    st.integers(min_value=2**30, max_value=2**64),
+)
+
+
+@relaxed
+@given(word_sized)
+def test_word_sized_betas_match_closed_form_and_walk(beta):
+    assert successors(beta).successors == successors_by_isqrt(beta)
     assert descend(beta) == descend_by_walk(beta)
 
 
