@@ -10,7 +10,7 @@ import sys
 
 from . import geometry, table
 from .descent import DescentTrace, descend, find_exact_solution, successors
-from .fibonacci import cassini_residual, fib, fib_index_of
+from .fibonacci import _decide, fib
 from .geometry import PrecisionConfig, PrecisionTooLow, _convergence_rows, _digit_count
 from .wasteels import classify
 
@@ -44,15 +44,15 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     beta = args.beta
-    found = successors(beta).successors
+    decided = _decide(beta)
     print(f"beta: {beta}")
-    if not found:
+    if decided is None:
         print("status: not-hippasus")
         print("successors: none")
         return 1
     print("status: hippasus")
-    print("successors:", " ".join(str(a) for a in found))
-    return _print_descent(DescentTrace(beta, fib_index_of(beta)))
+    print("successors:", "1 2" if beta == 1 else decided[1])
+    return _print_descent(DescentTrace(beta, decided[0]))
 
 
 def _cmd_descent(args: argparse.Namespace) -> int:
@@ -115,9 +115,10 @@ def _cmd_phi_convergence(args: argparse.Namespace) -> int:
 
 
 def _verify_cassini(bound: int) -> int:
+    a, b = 1, 1  # (F(i), F(i+1)) by addition, not cassini_residual's doublings
     for i in range(bound + 1):
         expected = 1 if i % 2 == 0 else -1
-        got = cassini_residual(i)
+        got, a, b = a * (a + b) - b * b, b, a + b
         if got != expected:
             print(f"verify cassini: FAIL at i={i}: residual {got}, expected {expected}")
             return 1
@@ -177,11 +178,11 @@ def _verify_convergence(bound: int) -> int:
 # suite name -> (runner, default bound, ceiling).  _cmd_verify refuses a
 # bound above the ceiling before the run starts.  Each ceiling is set by
 # time, on a 2-vCPU VM (Python 3.11): equivalence costs 1.6-3.3 us a beta,
-# 15-28 minutes at its ceiling; cassini's run grows about 6 times per
-# doubling of the bound (1 s at 10,000, 28 s at 40,000, 15 minutes at
-# 160,000); convergence's about 7 times (1.3 s at 10,000, 9.9 s at 20,000,
-# 81 s at 40,000).  The descent decides parity at once for every bound, so
-# it has no ceiling.
+# 15-28 minutes at its ceiling; cassini's walk grows about 6 times per
+# doubling of the bound (1.7 s at 20,000, 13 s at 40,000, 74 s at 80,000);
+# convergence's about 7 times (1.3 s at 10,000, 9.9 s at 20,000, 81 s at
+# 40,000).  The descent decides parity at once for every bound, so it has
+# no ceiling.
 VERIFY_SUITES = {
     "cassini": (_verify_cassini, 300, 160_000),
     "equivalence": (_verify_equivalence, 100_000, 500_000_000),

@@ -13,53 +13,19 @@ directions:
   subtractive descent (beta, alpha) -> (alpha - beta, beta) from beta = F(i).
   Each step keeps the residual at magnitude 1 while flipping its sign, and
   the first components decrease strictly, so the walk visits F(i), ..., F(0)
-  and ends in the terminal pattern (2, 1, 1): it is fixed by i.  The index
-  comes from the lookup that certified beta and ``DescentTrace`` re-asserts
-  fib(i) == beta; ``steps`` and the CLI run the paper's step.
+  and ends in the terminal pattern (2, 1, 1): it is fixed by i.
 * ``verify_no_exact_solution`` shows by the same descent that the residual
   is never exactly 0 -- the integer shadow of the incommensurability of a
   regular pentagon's side and diagonal.
 
-Both decide by ``_decide``, which certifies every answer the same way at
-every size: a "no" by a residue that no Fibonacci number has, or by one index
-lookup whose bracket F(i-1) < beta <= F(i) has a residual of +1 or -1.
+Both decide by ``fibonacci._decide``, the one certified membership decision.
 """
 from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterator
-from math import prod
 
-from .fibonacci import _as_int, _checked_make, _locate, _pair, fib
-
-# If beta = F(j), beta mod m is F(j) mod m.  The pair map (a, b) -> (b, a + b)
-# mod m has the inverse (a, b) -> (b - a, a), so its walk from (1, 1) is one
-# cycle back to (1, 1) and meets every residue a Fibonacci number can have.
-# The moduli, picked greedily below 2000 by how many values near F(n) and random
-# values each rejects, have periods 96, 176 and 90 and 61, 87 and 67 residues.
-_SIEVE_MODULI = (1692, 1841, 1991)  # 2**2 * 3**2 * 47, 7 * 263, 11 * 181
-_SIEVE_PRODUCT = prod(_SIEVE_MODULI)  # 33 bits: one big reduction, then small ones
-
-
-def _residues(m: int) -> frozenset[int]:
-    seen, a, b = set(), 1, 1
-    while True:
-        seen.add(a)
-        a, b = b, (a + b) % m
-        if a == b == 1:
-            return frozenset(seen)
-
-
-_SIEVE = tuple((m, _residues(m)) for m in _SIEVE_MODULI)
-
-
-def _sieve_rejects(beta: int) -> bool:
-    """True when a residue certifies that beta is not a Fibonacci number."""
-    r = beta % _SIEVE_PRODUCT
-    for m, residues in _SIEVE:  # any() over a generator doubles a small call
-        if r % m not in residues:
-            return True
-    return False
+from .fibonacci import _as_int, _checked_make, _decide, _pair, fib
 
 
 class NotHippasusError(ValueError):
@@ -153,27 +119,6 @@ class DescentTrace(namedtuple("DescentTrace", "beta recovered_index")):
         for _ in range(self.recovered_index + 1):
             yield b
             b, a = a - b, b
-
-
-def _decide(beta: int) -> tuple[int, int] | None:
-    """(i, F(i+1)) when beta = F(i), else None; every answer is certified.
-
-    beta = 1 is F(0), below every bracket.  Otherwise a residue that no
-    Fibonacci number has is a "no"; else the lookup brackets beta by
-    low = F(i-1) < beta <= F(i) = high.  A +/-1 residual makes (low, high)
-    consecutive Fibonacci numbers, with none strictly between, so beta is a
-    member iff beta = high; the step up gives (high, F(i+1)) the opposite
-    residual, so it certifies the "yes" too.  A failed check raises RuntimeError.
-    """
-    if beta == 1:
-        return 0, 1
-    if _sieve_rejects(beta):
-        return None
-    i, high, alpha = _locate(beta)
-    low = alpha - high
-    if not (0 < low < beta <= high and low * (low + high) - high * high in (1, -1)):
-        raise RuntimeError(f"index lookup gave ({low}, {high}), which does not certify {beta}")
-    return (i, alpha) if beta == high else None
 
 
 def successors(beta: int) -> SuccessorSet:

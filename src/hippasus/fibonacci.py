@@ -1,4 +1,4 @@
-"""Fibonacci sequence under the 1,1-start indexing, plus the Cassini residual.
+"""Fibonacci sequence (1,1-start indexing), its membership decision, the Cassini residual.
 
 Throughout this package the sequence starts F(0) = 1, F(1) = 1, so
 F(2) = 2, F(3) = 3, F(4) = 5, ...  Note the value 1 occurs at the two
@@ -113,13 +113,67 @@ def _locate(n: int) -> tuple[int, int, int]:
     return i, a, b
 
 
+# If n = F(j), n mod m is F(j) mod m.  The pair map (a, b) -> (b, a + b)
+# mod m has the inverse (a, b) -> (b - a, a), so its walk from (1, 1) is one
+# cycle back to (1, 1) and meets every residue a Fibonacci number can have.
+# The moduli, picked greedily below 2000 by how many values near F(n) and random
+# values each rejects, have periods 96, 176 and 90 and 61, 87 and 67 residues.
+_SIEVE_MODULI = (1692, 1841, 1991)  # 2**2 * 3**2 * 47, 7 * 263, 11 * 181
+_SIEVE_PRODUCT = math.prod(_SIEVE_MODULI)  # 33 bits: one big reduction, then small ones
+
+
+def _residues(m: int) -> frozenset[int]:
+    seen, a, b = set(), 1, 1
+    while True:
+        seen.add(a)
+        a, b = b, (a + b) % m
+        if a == b == 1:
+            return frozenset(seen)
+
+
+_SIEVE = tuple((m, _residues(m)) for m in _SIEVE_MODULI)
+
+
+def _sieve_rejects(n: int) -> bool:
+    """True when a residue certifies that n is not a Fibonacci number."""
+    r = n % _SIEVE_PRODUCT
+    for m, residues in _SIEVE:  # any() over a generator doubles a small call
+        if r % m not in residues:
+            return True
+    return False
+
+
+def _decide(beta: int) -> tuple[int, int] | None:
+    """(i, F(i+1)) when beta = F(i), else None; every answer is certified.
+
+    beta = 1 is F(0), below every bracket.  Otherwise a residue that no
+    Fibonacci number has is a "no"; else the lookup brackets beta by
+    low = F(i-1) < beta <= F(i) = high.  A +/-1 residual makes (low, high)
+    consecutive Fibonacci numbers, with none strictly between, so beta is a
+    member iff beta = high; the step up gives (high, F(i+1)) the opposite
+    residual, so it certifies the "yes" too.  A failed check raises RuntimeError.
+    """
+    if beta == 1:
+        return 0, 1
+    if _sieve_rejects(beta):
+        return None
+    i, high, alpha = _locate(beta)
+    low = alpha - high
+    if not (0 < low < beta <= high and low * (low + high) - high * high in (1, -1)):
+        raise RuntimeError(f"index lookup gave ({low}, {high}), which does not certify {beta}")
+    return (i, alpha) if beta == high else None
+
+
 def fib_index_of(n: int) -> int | None:
     """Smallest i with fib(i) == n, or None if n is not in the sequence.
 
     n = 1 returns 0 (the smaller of its two valid indices).  Requires n >= 1;
-    values beyond F(MAX_INDEX) are answered too.
+    values beyond F(MAX_INDEX) are answered too.  The residue sieve refuses
+    most non-members before the lookup.
     """
     n = _as_int(n, "n", 1)
+    if _sieve_rejects(n):
+        return None
     i, value, _ = _locate(n)
     return i if value == n else None
 
@@ -130,7 +184,7 @@ def is_consecutive_fib(x: int, y: int) -> bool:
     if x == 1:
         return y in (1, 2)
     # F(i) < F(i+1) < 2*F(i) for every i >= 2
-    if not x < y < 2 * x:
+    if not x < y < 2 * x or _sieve_rejects(x):
         return False
     _, value, following = _locate(x)
     return value == x and following == y

@@ -1,9 +1,7 @@
 """Table of Hippasus pairs and its aligned / CSV / JSON renderings."""
 from __future__ import annotations
 
-import csv
 import io
-import json
 from collections import namedtuple
 
 from .descent import HippasusPair, extend
@@ -71,6 +69,7 @@ def render_aligned(rows: list[TableRow]) -> str:
 
 
 def render_csv(rows: list[TableRow]) -> str:
+    import csv  # here, not at the top: every CLI call imports this module
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(_CSV_FIELDS)
@@ -79,6 +78,7 @@ def render_csv(rows: list[TableRow]) -> str:
 
 
 def render_json(rows: list[TableRow]) -> str:
+    import json
     payload = [{field: getattr(r, field) for field in _CSV_FIELDS} for r in rows]
     return json.dumps(payload, indent=2) + "\n"
 

@@ -147,24 +147,38 @@ class TestCheck:
         assert run_cli("check", "foo").returncode == 2
         assert run_cli("check", "0").returncode == 2
 
-    def test_searches_successors_once(self, monkeypatch, capsys):
-        from hippasus import cli, descent
+    def test_decides_once(self, monkeypatch, capsys):
+        # one sieve call and at most one index lookup per check: a member,
+        # a non-member the sieve rejects and one it admits (1836)
+        from hippasus import cli, fibonacci
 
-        calls = []
+        calls = {"_sieve_rejects": [], "_locate": []}
 
-        def counted(beta):
-            calls.append(beta)
-            return search(beta)
+        def spy(name):
+            real = getattr(fibonacci, name)
 
-        search = descent.successors
-        monkeypatch.setattr(cli, "successors", counted)
-        monkeypatch.setattr(descent, "successors", counted)
-        assert cli.main(["check", "55"]) == 0
-        assert calls == [55]
-        assert capsys.readouterr().out == (
+            def call(n):
+                calls[name].append(n)
+                return real(n)
+
+            return call
+
+        for name in calls:
+            monkeypatch.setattr(fibonacci, name, spy(name))
+        member = (
             "beta: 55\nstatus: hippasus\nsuccessors: 89\n"
             "descent: 55 34 21 13 8 5 3 2 1 1\nfibonacci_index: 9\n"
         )
+        for beta, code, lookups, out in (
+            (55, 0, [55], member),
+            (57, 1, [], "beta: 57\nstatus: not-hippasus\nsuccessors: none\n"),
+            (1836, 1, [1836], "beta: 1836\nstatus: not-hippasus\nsuccessors: none\n"),
+        ):
+            for called in calls.values():
+                called.clear()
+            assert cli.main(["check", str(beta)]) == code
+            assert calls == {"_sieve_rejects": [beta], "_locate": lookups}
+            assert capsys.readouterr().out == out
 
 
 class TestDescent:
@@ -319,13 +333,15 @@ class TestVerify:
         # a run past the ceiling would take hours (10**12 betas of
         # equivalence: about two months); the refusal comes before the loop,
         # whose per-step calls here fail at once rather than run for hours
+        # (the cassini walk makes no call, so its whole runner fails)
         from hippasus import cli
 
         def loop_started(*args):
             raise AssertionError("the loop started")
 
         with monkeypatch.context() as patched:
-            patched.setattr(cli, "cassini_residual", loop_started)
+            _, default, cap = cli.VERIFY_SUITES["cassini"]
+            patched.setitem(cli.VERIFY_SUITES, "cassini", (loop_started, default, cap))
             patched.setattr(cli, "descend", loop_started)
             patched.setattr(cli, "_convergence_rows", loop_started)
             for bound in (ceiling + 1, 10**12):

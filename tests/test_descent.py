@@ -6,7 +6,7 @@ from math import isqrt
 
 import pytest
 
-from hippasus import descent
+from hippasus import descent, fibonacci
 from hippasus.descent import (
     DescentTrace,
     HippasusPair,
@@ -22,7 +22,7 @@ from hippasus.descent import (
     unique_successor,
     verify_no_exact_solution,
 )
-from hippasus.fibonacci import MAX_INDEX, fib, fib_index_of
+from hippasus.fibonacci import MAX_INDEX, fib, fib_index_of, is_consecutive_fib
 
 # prints the VmHWM raise (kB) across descend(F(10^5)), then the index found
 RSS_CHECK = """
@@ -42,7 +42,7 @@ print(hwm_kb() - before, trace.recovered_index)
 
 
 # the first value above F(100) that every sieve residue admits
-SIEVE_PASS_101 = next(b for b in range(fib(100) + 1, fib(101)) if not descent._sieve_rejects(b))
+SIEVE_PASS_101 = next(b for b in range(fib(100) + 1, fib(101)) if not fibonacci._sieve_rejects(b))
 
 
 def successors_by_scan(beta: int) -> tuple[int, ...]:
@@ -64,11 +64,11 @@ def successors_by_scan(beta: int) -> tuple[int, ...]:
 # residue, since one sieve call on the full value per d would take seconds
 SIEVE_PASS_TIMING = """
 import time
-from hippasus import descend, descent, fib
+from hippasus import descend, fib, fibonacci
 
 beta = fib(10**6)
-r = beta % descent._SIEVE_PRODUCT
-d = next(d for d in range(1, 10**6) if not descent._sieve_rejects(r + d))
+r = beta % fibonacci._SIEVE_PRODUCT
+d = next(d for d in range(1, 10**6) if not fibonacci._sieve_rejects(r + d))
 start = time.perf_counter()
 missing = descend(beta + d)
 print(d, missing is None, time.perf_counter() - start)
@@ -268,7 +268,7 @@ class TestSuccessors:
         # a non-member just below F(100) that the sieve lets through, with
         # F(101) inside its window: the bracket (F(99), F(100)) refuses it
         top = fib(100)
-        beta = next(b for b in range(top - 1, top - 10**5, -1) if not descent._sieve_rejects(b))
+        beta = next(b for b in range(top - 1, top - 10**5, -1) if not fibonacci._sieve_rejects(b))
         assert beta < fib(101) < 2 * beta
         assert successors(beta).successors == ()
         assert descend(beta) is None
@@ -421,15 +421,16 @@ class TestJump:
             lookups.append((b, found[0]))
             return found
 
-        locate = descent._locate
-        monkeypatch.setattr(descent, "_locate", spy)
+        locate = fibonacci._locate
+        monkeypatch.setattr(fibonacci, "_locate", spy)
         for i in range(2, 5001):
             lookups.clear()
             assert descend(fib(i)).recovered_index == i
             assert lookups == [(fib(i), i)], i
 
     def test_sieve_rejection_is_the_whole_answer(self, monkeypatch):
-        # one residue test and no lookup for a non-member the sieve rejects
+        # one residue test and no lookup for a non-member the sieve rejects,
+        # by every entry point that decides membership
         sieved = []
 
         def sieve(b):
@@ -439,13 +440,19 @@ class TestJump:
         def no_lookup(b):
             raise AssertionError(f"_locate({b}) called")
 
-        rejects = descent._sieve_rejects
-        monkeypatch.setattr(descent, "_sieve_rejects", sieve)
-        monkeypatch.setattr(descent, "_locate", no_lookup)
+        rejects = fibonacci._sieve_rejects
+        monkeypatch.setattr(fibonacci, "_sieve_rejects", sieve)
+        monkeypatch.setattr(fibonacci, "_locate", no_lookup)
         for i in (90, 1000, 5000):
-            sieved.clear()
-            assert descend(fib(i) + 1) is None
-            assert sieved == [fib(i) + 1]
+            beta = fib(i) + 1
+            for answer, refusal in (
+                (lambda: descend(beta), None),
+                (lambda: fib_index_of(beta), None),
+                (lambda: is_consecutive_fib(beta, fib(i + 1)), False),
+            ):
+                sieved.clear()
+                assert answer() is refusal
+                assert sieved == [beta]
 
     def test_non_member_past_the_sieve_is_refused_by_its_bracket(self, monkeypatch):
         # a value strictly between two Fibonacci numbers that every residue
@@ -455,7 +462,7 @@ class TestJump:
         calls = {"_sieve_rejects": [], "_locate": []}
 
         def spy(name):
-            real = getattr(descent, name)
+            real = getattr(fibonacci, name)
 
             def call(n):
                 calls[name].append(n)
@@ -464,9 +471,16 @@ class TestJump:
             return call
 
         for name in calls:
-            monkeypatch.setattr(descent, name, spy(name))
-        assert descend(beta) is None
-        assert calls == {"_sieve_rejects": [beta], "_locate": [beta]}
+            monkeypatch.setattr(fibonacci, name, spy(name))
+        for answer, refusal in (
+            (lambda: descend(beta), None),
+            (lambda: fib_index_of(beta), None),
+            (lambda: is_consecutive_fib(beta, fib(101)), False),
+        ):
+            for called in calls.values():
+                called.clear()
+            assert answer() is refusal
+            assert calls == {"_sieve_rejects": [beta], "_locate": [beta]}
 
     @pytest.mark.parametrize(
         "beta, lookup",
@@ -488,8 +502,8 @@ class TestJump:
         ],
     )
     def test_lookup_that_fails_its_certificate_raises(self, monkeypatch, beta, lookup):
-        assert not descent._sieve_rejects(beta)
-        monkeypatch.setattr(descent, "_locate", lambda b: lookup)
+        assert not fibonacci._sieve_rejects(beta)
+        monkeypatch.setattr(fibonacci, "_locate", lambda b: lookup)
         with pytest.raises(RuntimeError, match="does not certify"):
             descend(beta)
         with pytest.raises(RuntimeError, match="does not certify"):
@@ -509,23 +523,23 @@ class TestJump:
 
 class TestSieve:
     def test_admits_every_fibonacci_residue(self):
-        for m, residues in descent._SIEVE:
+        for m, residues in fibonacci._SIEVE:
             assert residues == pisano_residues(m), m
             assert residues <= square_residues(m), m
         # many periods of each modulus, whatever _SIEVE holds
         for j in range(5001):
-            assert not descent._sieve_rejects(fib(j)), j
+            assert not fibonacci._sieve_rejects(fib(j)), j
 
     def test_rejects_most_non_members(self):
-        passed = sum(not descent._sieve_rejects(beta) for beta in range(1, 10**5 + 1))
+        passed = sum(not fibonacci._sieve_rejects(beta) for beta in range(1, 10**5 + 1))
         assert passed <= 30  # 27: the 24 Fibonacci values, 1836, 11789 and 81237
-        assert descent._sieve_rejects(fib(10**5) + 1)
+        assert fibonacci._sieve_rejects(fib(10**5) + 1)
 
     def test_rejects_values_near_fibonacci_numbers(self):
         # the values a near miss produces; about 1.7 % of them pass a sieve
         # on 5*beta**2 +/- 4 being a square modulo 16 moduli
         near = [fib(n) + d for n in range(1000, 1100) for d in range(-40, 41) if d]
-        passed = sum(not descent._sieve_rejects(beta) for beta in near)
+        passed = sum(not fibonacci._sieve_rejects(beta) for beta in near)
         assert passed <= len(near) // 1000
 
 

@@ -134,7 +134,8 @@ class TestFibIndexOf:
     def test_roundtrip(self):
         assert fib_index_of(fib(0)) == 0
         assert fib_index_of(fib(1)) == 0  # duplicated value 1 maps to index 0
-        for i in range(2, 301):
+        # past the table and across many periods of every sieve modulus
+        for i in range(2, 5001):
             assert fib_index_of(fib(i)) == i
 
     def test_requires_positive(self):
@@ -186,7 +187,7 @@ class TestIsConsecutiveFib:
         assert not is_consecutive_fib(2, 2)
 
     def test_all_generated_pairs(self):
-        for i in range(0, 301):
+        for i in range(0, 5001):
             assert is_consecutive_fib(fib(i), fib(i + 1))
 
     def test_requires_positive(self):
@@ -244,8 +245,8 @@ class TestIntegerBoundary:
 def test_import_does_not_load_numpy():
     # -S: without site, nothing but hippasus itself can load these modules;
     # typing alone costs 5-8 ms of every CLI call's start-up, and dataclasses
-    # (which loads inspect) more
-    modules = "{'numpy', 'typing', 'dataclasses', 'inspect'}"
+    # (which loads inspect) more; csv and json only the table renderers need
+    modules = "{'numpy', 'typing', 'dataclasses', 'inspect', 'csv', 'json'}"
     code = f"import sys, hippasus.cli; print(*sorted({modules} & set(sys.modules)))"
     src = str(Path(__file__).resolve().parent.parent / "src")
     run = subprocess.run(
