@@ -9,7 +9,7 @@ import argparse
 import sys
 
 from . import geometry, table
-from .descent import DescentTrace, descend, find_exact_solution, successors
+from .descent import DescentTrace, _certified_trace, descend, find_exact_solution, successors
 from .fibonacci import _decide, fib
 from .geometry import PrecisionConfig, PrecisionTooLow, _convergence_rows, _digit_count
 from .wasteels import classify
@@ -50,9 +50,11 @@ def _cmd_check(args: argparse.Namespace) -> int:
         print("status: not-hippasus")
         print("successors: none")
         return 1
+    i, alpha = decided
+    trace = _certified_trace(beta, i)
     print("status: hippasus")
-    print("successors:", "1 2" if beta == 1 else decided[1])
-    return _print_descent(DescentTrace(beta, decided[0]))
+    print("successors:", "1 2" if beta == 1 else alpha)
+    return _print_descent(trace, alpha)
 
 
 def _cmd_descent(args: argparse.Namespace) -> int:
@@ -63,11 +65,11 @@ def _cmd_descent(args: argparse.Namespace) -> int:
     return _print_descent(trace)
 
 
-def _print_descent(trace: DescentTrace) -> int:
+def _print_descent(trace: DescentTrace, alpha: int | None = None) -> int:
     # one value at a time: the whole walk from F(10**4) is 10 MB of digits
     write = sys.stdout.write
     write("descent:")
-    for value in trace._walk():
+    for value in trace._walk(alpha):
         write(f" {value}")
     write("\n")
     print(f"fibonacci_index: {trace.recovered_index}")

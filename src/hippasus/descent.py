@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterator
 
-from .fibonacci import _as_int, _checked_make, _decide, _pair, fib
+from .fibonacci import _as_int, _checked_make, _decide, _index_by_magnitude, _pair, fib
 
 
 class NotHippasusError(ValueError):
@@ -93,7 +93,8 @@ class DescentTrace(namedtuple("DescentTrace", "beta recovered_index")):
 
     Descent from beta = F(i) visits F(i), F(i-1), ..., F(0), so the trace is
     fixed by ``beta`` and ``recovered_index`` = i, and fib(i) == beta is all
-    there is to check.  ``steps`` rebuilds the walk on each access.
+    there is to check; ``descend`` checks i by beta's size instead (see
+    ``_certified_trace``).  ``steps`` rebuilds the walk on each access.
     """
 
     __slots__ = ()
@@ -112,13 +113,27 @@ class DescentTrace(namedtuple("DescentTrace", "beta recovered_index")):
         in (2, 1, 1)."""
         return tuple(self._walk())
 
-    def _walk(self) -> Iterator[int]:
+    def _walk(self, alpha: int | None = None) -> Iterator[int]:
         """F(i), F(i-1), ..., F(0), one at a time: the descent
-        (b, a) -> (a - b, b) from (F(i), F(i+1)), holding two values."""
-        b, a = _pair(self.recovered_index)
+        (b, a) -> (a - b, b) from (F(i), F(i+1)), holding two values.
+        ``alpha`` is F(i+1) when the caller holds it already, which saves
+        the doubling."""
+        b, a = _pair(self.recovered_index) if alpha is None else (self.beta, alpha)
         for _ in range(self.recovered_index + 1):
             yield b
             b, a = a - b, b
+
+
+def _certified_trace(beta: int, i: int) -> DescentTrace:
+    """DescentTrace(beta, i) for a beta that ``_decide`` has certified as a
+    member with index i, without the trace's second doubling.
+
+    The bracket certifies the values, so what is left to check is the index:
+    a lookup that found the right values under a wrong i raises RuntimeError.
+    """
+    if i != (0 if beta == 1 else _index_by_magnitude(beta)):
+        raise RuntimeError(f"index lookup gave {i} for {beta}, whose magnitude disagrees")
+    return tuple.__new__(DescentTrace, (beta, i))
 
 
 def successors(beta: int) -> SuccessorSet:
@@ -167,15 +182,15 @@ def descend(beta: int) -> DescentTrace | None:
     """Decide membership by the successor search; None means not Hippasus.
 
     A member's descent is the walk F(i), ..., F(0), fixed by i, and i comes
-    from the index lookup that certified beta, so a member costs one lookup.
-    DescentTrace re-asserts fib(i) == beta.  ``steps`` and the CLI run the
-    paper's step from F(i).  beta = 1 returns the degenerate single-entry
-    trace with index 0.
+    from the index lookup that certified beta, checked against beta's
+    magnitude: a member costs one doubling and one certificate.  ``steps``
+    and the CLI run the paper's step from F(i).  beta = 1 returns the
+    degenerate single-entry trace with index 0.
     """
     if type(beta) is not int or beta < 1:  # as in successors
         beta = _as_int(beta, "beta", 1)
     decided = _decide(beta)
-    return None if decided is None else DescentTrace(beta, decided[0])
+    return None if decided is None else _certified_trace(beta, decided[0])
 
 
 def is_fibonacci_by_descent(beta: int) -> bool:

@@ -113,6 +113,20 @@ def _locate(n: int) -> tuple[int, int, int]:
     return i, a, b
 
 
+def _index_by_magnitude(beta: int) -> int:
+    """i for a Fibonacci number beta = F(i) >= 2, from its size alone.
+
+    Binet gives F(i) = (PHI**(i+1) - psi**(i+1)) / sqrt(5) with |psi| < 1,
+    so log2 F(i) + log2 sqrt(5) is (i+1)*log2 PHI up to a term that falls
+    geometrically with i (0.11 of an index at i = 2, 5e-10 at i = 22).
+    math.log2 reads beta's top bits, so the float error is about i * 1e-16
+    of an index: the rounding is exact for every i a machine could hold.
+    It decides nothing, since a non-member gets an index too; it is asked
+    only of a certified member.
+    """
+    return round((math.log2(beta) + _LOG2_SQRT5) / _LOG2_PHI) - 1
+
+
 # If n = F(j), n mod m is F(j) mod m.  The pair map (a, b) -> (b, a + b)
 # mod m has the inverse (a, b) -> (b - a, a), so its walk from (1, 1) is one
 # cycle back to (1, 1) and meets every residue a Fibonacci number can have.
@@ -151,7 +165,11 @@ def _decide(beta: int) -> tuple[int, int] | None:
     low = F(i-1) < beta <= F(i) = high.  A +/-1 residual makes (low, high)
     consecutive Fibonacci numbers, with none strictly between, so beta is a
     member iff beta = high; the step up gives (high, F(i+1)) the opposite
-    residual, so it certifies the "yes" too.  A failed check raises RuntimeError.
+    residual, so it certifies the "yes" too.  The residual is read from the
+    identity (2b - a)**2 - 5*a**2 = 4*(b**2 - a*b - a**2), two squarings in
+    place of a product and a square.  A failed check raises RuntimeError.
+    The certificate covers the values, not i: callers that publish i check
+    it against ``_index_by_magnitude``.
     """
     if beta == 1:
         return 0, 1
@@ -159,7 +177,7 @@ def _decide(beta: int) -> tuple[int, int] | None:
         return None
     i, high, alpha = _locate(beta)
     low = alpha - high
-    if not (0 < low < beta <= high and low * (low + high) - high * high in (1, -1)):
+    if not (0 < low < beta <= high and (2 * high - low) ** 2 - 5 * (low * low) in (4, -4)):
         raise RuntimeError(f"index lookup gave ({low}, {high}), which does not certify {beta}")
     return (i, alpha) if beta == high else None
 
@@ -194,10 +212,13 @@ def cassini_residual(i: int) -> int:
     """F(i)*F(i+2) - F(i+1)^2, computed exactly; equals (-1)**i.
 
     F(i+2) = F(i) + F(i+1), so it is the Hippasus residual of (F(i), F(i+1)),
-    the paper's link between the two, from two ``fib`` calls.
+    the paper's link between the two, from two ``fib`` calls.  It is read as
+    (5*a**2 - (2b - a)**2) / 4 with a, b = F(i), F(i+1), the identity of
+    ``_decide``: two squarings in place of a product and a square.
     """
     if type(i) is not int or i < 0:  # as in fib
         i = _as_int(i, "index", 0)
     _in_range(i + 2)
     a, b = fib(i), fib(i + 1)
-    return a * (a + b) - b * b
+    c = 2 * b - a
+    return (5 * (a * a) - c * c) >> 2  # exact: the difference is 4*(-1)**i

@@ -3,8 +3,9 @@ from __future__ import annotations
 
 import io
 from collections import namedtuple
+from functools import partial
 
-from .descent import HippasusPair, extend
+from .descent import HippasusPair
 from .fibonacci import _as_int, _checked_make
 
 _CSV_FIELDS = ("beta", "alpha", "sum", "product", "sign", "alpha_squared")
@@ -35,20 +36,30 @@ class TableRow(namedtuple("TableRow", "beta alpha sum sign alpha_squared")):
         return f"{self.alpha}^2{'+' if self.sign > 0 else '-'}1"
 
 
+# TableRow without its checks, for the rows of one certified walk
+_unchecked_row = partial(tuple.__new__, TableRow)
+
+
 def build_rows(max_beta: int) -> list[TableRow]:
     """All rows with beta <= max_beta, ascending in beta (beta = 1 twice).
 
-    The rows are the orbit of (1, 1, +1) under ``extend``: O(log max_beta)
-    rows and no search.  The walk relies on the paper's theorem that this
-    orbit holds every Hippasus pair; acceptance criteria 3 and 4, ``verify
-    equivalence`` and the beta-scan oracle in tests/test_table.py check it.
+    The rows are the orbit of (1, 1, +1) under ``extend``, walked by bare
+    addition: O(log max_beta) rows and no search.  One certificate covers
+    them all: the top row's residual, product - alpha_squared, must be its
+    sign (else RuntimeError), and by the paper's descent lemma each step
+    down, to the row before, negates the residual.  The walk relies on the
+    paper's theorem that this orbit holds every Hippasus pair; acceptance
+    criteria 3 and 4, ``verify equivalence`` and the beta-scan oracle in
+    tests/test_table.py check it.
     """
     max_beta = _as_int(max_beta, "max_beta", 1)
-    rows, pair = [], HippasusPair(1, 1, 1)
-    while pair.beta <= max_beta:
-        beta, alpha = pair.beta, pair.alpha
-        rows.append(TableRow(beta, alpha, beta + alpha, pair.sign, alpha * alpha))
-        pair = extend(pair)
+    rows, beta, alpha, sign = [], 1, 1, 1
+    while beta <= max_beta:
+        rows.append(_unchecked_row((beta, alpha, beta + alpha, sign, alpha * alpha)))
+        beta, alpha, sign = alpha, beta + alpha, -sign
+    top = rows[-1]
+    if top.product - top.alpha_squared != top.sign:
+        raise RuntimeError(f"the table's top row {top} fails its certificate")
     return rows
 
 

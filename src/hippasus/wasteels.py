@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .fibonacci import _as_int, _locate, is_consecutive_fib
+from .fibonacci import _as_int, _index_by_magnitude, is_consecutive_fib
 
 
 def wasteels_residual(x: int, y: int) -> int:
@@ -27,8 +27,10 @@ class WasteelsVerdict(namedtuple("WasteelsVerdict", "x y residual consecutive in
 def classify(x: int, y: int) -> WasteelsVerdict:
     """Decide whether (x, y) are consecutive Fibonacci numbers, in that order.
 
-    Consecutive means x <= y and the residual is +1 or -1.  The duplicated
-    value 1 maps (1, 1) -> indices (0, 1) and (1, 2) -> indices (1, 2).
+    Consecutive means x <= y and the residual is +1 or -1: that residual
+    is Wasteels' certificate that x = F(i) and y = F(i+1), so no lookup is
+    needed, and i is read from x's magnitude.  The duplicated value 1 maps
+    (1, 1) -> indices (0, 1) and (1, 2) -> indices (1, 2).
     """
     # the calls would cost ~25 % of a small call
     if type(x) is not int or type(y) is not int or x < 1 or y < 1:
@@ -39,9 +41,7 @@ def classify(x: int, y: int) -> WasteelsVerdict:
     if x == 1:
         indices = (0, 1) if y == 1 else (1, 2)
     else:
-        i, value, following = _locate(x)
-        if value != x or following != y:
-            raise RuntimeError(f"({x}, {y}) has residual {residual} but is not a Fibonacci pair")
+        i = _index_by_magnitude(x)
         indices = (i, i + 1)
     return WasteelsVerdict(x, y, residual, True, indices)
 

@@ -180,6 +180,35 @@ class TestCheck:
             assert calls == {"_sieve_rejects": [beta], "_locate": lookups}
             assert capsys.readouterr().out == out
 
+    def test_one_doubling_per_member(self, monkeypatch, capsys):
+        # the lookup's doubling; the printed walk starts from the certified pair
+        from hippasus import cli, descent, fibonacci
+
+        doublings = []
+
+        def spy(i):
+            doublings.append(i)
+            return pair(i)
+
+        pair = fibonacci._pair
+        beta = fibonacci.fib(5000)
+        monkeypatch.setattr(fibonacci, "_pair", spy)
+        monkeypatch.setattr(descent, "_pair", spy)
+        assert cli.main(["check", str(beta)]) == 0
+        assert len(doublings) == 1
+        out = capsys.readouterr().out
+        assert out.endswith(" 2 1 1\nfibonacci_index: 5000\n")
+        assert f"successors: {fibonacci.fib(5001)}\n" in out
+
+    @pytest.mark.parametrize("lookup", [(5000, 13, 21), (7, 13, 21)])
+    def test_lookup_with_a_wrong_index_raises(self, monkeypatch, lookup):
+        # the bracket certifies the values; the magnitude checks the index
+        from hippasus import cli, fibonacci
+
+        monkeypatch.setattr(fibonacci, "_locate", lambda b: lookup)
+        with pytest.raises(RuntimeError, match="magnitude disagrees"):
+            cli.main(["check", "13"])
+
 
 class TestDescent:
     def test_member(self):

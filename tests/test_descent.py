@@ -509,6 +509,37 @@ class TestJump:
         with pytest.raises(RuntimeError, match="does not certify"):
             successors(beta)
 
+    @pytest.mark.parametrize(
+        "beta, lookup",
+        [
+            # the right values under the index one below or above
+            (13, (5, 13, 21)),
+            (13, (7, 13, 21)),
+            (fib(100), (99, fib(100), fib(101))),
+            (fib(5000), (5001, fib(5000), fib(5001))),
+        ],
+    )
+    def test_lookup_with_a_wrong_index_raises(self, monkeypatch, beta, lookup):
+        # the bracket certifies the values; the magnitude checks the index
+        monkeypatch.setattr(fibonacci, "_locate", lambda b: lookup)
+        with pytest.raises(RuntimeError, match="magnitude disagrees"):
+            descend(beta)
+
+    def test_one_doubling_per_member(self, monkeypatch):
+        # the lookup's doubling is the only one: the trace does not re-run fib(i)
+        doublings = []
+
+        def spy(i):
+            doublings.append(i)
+            return pair(i)
+
+        pair = fibonacci._pair
+        beta = fib(5000)
+        monkeypatch.setattr(fibonacci, "_pair", spy)
+        monkeypatch.setattr(descent, "_pair", spy)
+        assert descend(beta).recovered_index == 5000
+        assert len(doublings) == 1
+
     def test_small_descent_builds_no_successor_set(self, monkeypatch):
         # descend reads _decide's answer directly
         def no_successors(b):

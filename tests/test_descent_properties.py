@@ -3,7 +3,7 @@ exhaustive loops do not reach."""
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from hippasus.descent import (  # noqa: E402
     DescentTrace,
@@ -13,7 +13,13 @@ from hippasus.descent import (  # noqa: E402
     hippasus_residual,
     successors,
 )
-from hippasus.fibonacci import _pair, cassini_residual, fib  # noqa: E402
+from hippasus.fibonacci import (  # noqa: E402
+    MAX_INDEX,
+    _index_by_magnitude,
+    _pair,
+    cassini_residual,
+    fib,
+)
 from hippasus.wasteels import classify, wasteels_residual  # noqa: E402
 from test_descent import descend_by_walk, successors_by_isqrt  # noqa: E402
 from test_fibonacci import pair_by_three_products  # noqa: E402
@@ -53,6 +59,13 @@ def test_trace_refuses_wrong_index(i):
 @given(indices)
 def test_pair_sign_is_index_parity(i):
     assert HippasusPair.from_beta_alpha(fib(i), fib(i + 1)).sign == (-1) ** i
+
+
+@settings(deadline=None, max_examples=20)
+@given(st.integers(min_value=2, max_value=MAX_INDEX))
+@example(MAX_INDEX)
+def test_index_by_magnitude_to_the_largest_index(i):
+    assert _index_by_magnitude(pair_by_three_products(i)[0]) == i
 
 
 # (beta, alpha) with 2 <= beta <= 10**30 and beta <= alpha <= 3*beta: half the

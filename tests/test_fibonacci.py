@@ -9,6 +9,7 @@ import pytest
 
 from hippasus.fibonacci import (
     MAX_INDEX,
+    _index_by_magnitude,
     _locate,
     _pair,
     cassini_residual,
@@ -171,6 +172,15 @@ class TestFibIndexOf:
         beyond = fib(MAX_INDEX) + fib(MAX_INDEX - 1)  # F(MAX_INDEX + 1)
         assert fib_index_of(beyond) == MAX_INDEX + 1
         assert fib_index_of(beyond + 1) is None
+
+
+class TestIndexByMagnitude:
+    def test_every_member_to_index_20000(self):
+        # from F(2) = 2: the value 1 is F(0) and F(1), which no magnitude splits
+        a, b = 2, 3
+        for i in range(2, 20_001):
+            assert _index_by_magnitude(a) == i, i
+            a, b = b, a + b
 
 
 class TestIsConsecutiveFib:

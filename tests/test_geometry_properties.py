@@ -26,6 +26,7 @@ from hippasus.geometry import (  # noqa: E402
     PrecisionConfig,
     _golden,
     _half,
+    _scale,
     _sqrt,
     _to_decimal,
     convergence_table,
@@ -175,18 +176,22 @@ def conversions(draw):
     prec = draw(st.integers(min_value=15, max_value=3000))
     if draw(st.booleans()):
         k = draw(st.integers(min_value=1, max_value=3 * prec))
-        return prec, draw(st.sampled_from(_edge_integers(k)))
-    return prec, _digits(draw(st.randoms(use_true_random=True)), 3 * prec)
+        n = draw(st.sampled_from(_edge_integers(k)))
+    else:
+        n = _digits(draw(st.randoms(use_true_random=True)), 3 * prec)
+    # a smaller value whose power of ten n may share, as F(n+2) shares F(n)'s
+    return prec, n, max(1, n // draw(st.integers(min_value=1, max_value=20)))
 
 
 @settings(deadline=None, max_examples=150)
 @given(conversions())
 def test_rounded_conversion_is_decimal_rounding(case):
-    prec, n = case
+    prec, n, smaller = case
     with localcontext() as ctx:
         ctx.prec = prec
-        assert repr(_to_decimal(n)) == repr(+Decimal(n))
-        assert repr(_half(n)) == repr(Decimal(n) / 2)
+        for scale in (_scale(n), _scale(smaller)):
+            assert repr(_to_decimal(n, scale)) == repr(+Decimal(n))
+            assert repr(_half(n, scale)) == repr(Decimal(n) / 2)
 
 
 def test_rounded_conversion_of_a_hundred_thousand_digits():
@@ -199,7 +204,7 @@ def test_rounded_conversion_of_a_hundred_thousand_digits():
             for prec in (15, 60, 1000):
                 with localcontext() as ctx:
                     ctx.prec = prec
-                    assert repr(_to_decimal(n)) == repr(+exact)
-                    assert repr(_half(n)) == repr(exact / 2)
+                    assert repr(_to_decimal(n, _scale(n))) == repr(+exact)
+                    assert repr(_half(n, _scale(n))) == repr(exact / 2)
     finally:
         sys.set_int_max_str_digits(before)

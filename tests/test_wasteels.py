@@ -4,7 +4,7 @@ import pytest
 
 from hippasus.descent import hippasus_residual
 from hippasus.fibonacci import fib, is_consecutive_fib
-from hippasus import wasteels
+from hippasus import fibonacci
 from hippasus.wasteels import classify, wasteels_residual
 
 
@@ -66,12 +66,21 @@ class TestClassify:
         with pytest.raises(ValueError):
             classify(1, 0)
 
-    def test_disagreeing_locate_raises(self, monkeypatch):
-        # a residual of +/-1 with no matching index is an internal fault,
-        # reported by a check that python -O keeps
-        monkeypatch.setattr(wasteels, "_locate", lambda n: (4, 5, 9))
-        with pytest.raises(RuntimeError):
-            classify(5, 8)
+    def test_indices_of_every_pair_to_index_5000(self):
+        # the index comes from x's magnitude, not a lookup; the pairs by addition
+        x, y = 1, 2
+        for i in range(1, 5001):
+            assert classify(x, y).indices == (i, i + 1), i
+            x, y = y, x + y
+
+    def test_makes_no_lookup(self, monkeypatch):
+        # the +/-1 residual certifies the pair, so no doubling runs
+        def no_doubling(i):
+            raise AssertionError(f"_pair({i}) called")
+
+        x, y = fib(5000), fib(5001)
+        monkeypatch.setattr(fibonacci, "_pair", no_doubling)
+        assert classify(x, y).indices == (5000, 5001)
 
 
 class TestIntegerBoundary:
