@@ -42,30 +42,35 @@ def _cmd_table(args: argparse.Namespace) -> int:
     return 0
 
 
+def _member(beta: int) -> tuple[DescentTrace, int] | None:
+    """(trace, F(i+1)) for beta = F(i), else None: the one certified decision
+    behind check and descent, whose lookup already holds the successor."""
+    decided = _decide(beta)
+    return None if decided is None else (_certified_trace(beta, decided[0]), decided[1])
+
+
 def _cmd_check(args: argparse.Namespace) -> int:
     beta = args.beta
-    decided = _decide(beta)
+    found = _member(beta)
     print(f"beta: {beta}")
-    if decided is None:
+    if found is None:
         print("status: not-hippasus")
         print("successors: none")
         return 1
-    i, alpha = decided
-    trace = _certified_trace(beta, i)
     print("status: hippasus")
-    print("successors:", "1 2" if beta == 1 else alpha)
-    return _print_descent(trace, alpha)
+    print("successors:", "1 2" if beta == 1 else found[1])
+    return _print_descent(*found)
 
 
 def _cmd_descent(args: argparse.Namespace) -> int:
-    trace = descend(args.beta)
-    if trace is None:
+    found = _member(args.beta)
+    if found is None:
         print(f"not a Hippasus number: {args.beta}")
         return 1
-    return _print_descent(trace)
+    return _print_descent(*found)
 
 
-def _print_descent(trace: DescentTrace, alpha: int | None = None) -> int:
+def _print_descent(trace: DescentTrace, alpha: int) -> int:
     # one value at a time: the whole walk from F(10**4) is 10 MB of digits
     write = sys.stdout.write
     write("descent:")
@@ -91,7 +96,8 @@ def _cmd_wasteels(args: argparse.Namespace) -> int:
 
 def _cmd_octagon(args: argparse.Namespace) -> int:
     cfg = PrecisionConfig(digits=args.digits)
-    geo, limits, deviations = geometry._octagon_report(args.n, cfg)
+    geo = geometry.octagon(args.n, cfg)
+    limits, deviations = geometry.octagon_limits(cfg), geometry.octagon_deviations(args.n, cfg)
     print(f"n: {geo.n}")
     print(f"digits: {cfg.digits}")
     print(f"p: ({geo.p[0]}, {geo.p[1]})")

@@ -7,9 +7,10 @@ Internally every computation carries ``digits + 10`` guard digits and rounds
 back once at the end, so published values are correctly rounded at the
 requested precision (a bare precision-``digits`` chain would double-round:
 e.g. the golden ratio at 15 digits must come out 1.61803398874989, not
-...90).  A distance to a limit also carries the digits its subtraction
-cancels, about 2*log10(F(n)).  Precision travels explicitly in a
-PrecisionConfig value; no global decimal state is touched.
+...90).  The octagon's distances to its limits come from the conjugate
+-1/phi at the same guard digits; only the convergence rows carry the digits
+their subtraction cancels, about 2*log10(F(n)).  Precision travels
+explicitly in a PrecisionConfig value; no global decimal state is touched.
 
 Square roots above a couple of hundred digits run Newton's iteration on
 division instead of ``Decimal.sqrt``, whose cost grows as the square of the
@@ -323,48 +324,59 @@ def octagon_limits(cfg: PrecisionConfig) -> tuple[Decimal, Decimal, Decimal]:
 
 def _limits(sqrt2: Decimal, root_2m: Decimal) -> tuple[Decimal, Decimal, Decimal]:
     """octagon_limits at the current context's precision, given sqrt(2) and
-    sqrt(2 - sqrt(2)) at it: two more roots, of 5 and of sqrt(5)."""
+    sqrt(2 - sqrt(2)) at it."""
+    _, golden2, c = _golden_terms()
+    return sqrt2 / 2 * c, sqrt2 / root_2m * (c / golden2), root_2m / 2 * golden2
+
+
+def _golden_terms() -> tuple[Decimal, Decimal, Decimal]:
+    """phi, phi**2 and c = phi * 5**(1/4) - 1 in the current context: two
+    roots, of 5 and of sqrt(5)."""
     sqrt5 = _sqrt(Decimal(5))
     golden = (1 + sqrt5) / 2
-    golden2 = golden * golden
-    c = golden * _sqrt(sqrt5) - 1
-    return sqrt2 / 2 * c, sqrt2 / root_2m * (c / golden2), root_2m / 2 * golden2
+    return golden, golden * golden, golden * _sqrt(sqrt5) - 1
 
 
 def octagon_deviations(n: int, cfg: PrecisionConfig) -> tuple[Decimal, Decimal, Decimal]:
     """ratio - limit for the three ratios of ``octagon(n, cfg)``, to cfg.digits.
 
-    The ratios close on their limits like 1/F(n)**2, so the subtraction
-    cancels about 2*log10(F(n)) digits; both sides carry that many more,
-    plus the guard digits.
-    """
-    return _octagon_report(n, cfg)[2]
+    The ratios close on their limits like 1/F(n)**2, so ratio - limit would
+    cancel about 2*log10(F(n)) digits; each deviation is instead taken from
+    the conjugate psi = -1/phi, where nothing cancels.  With x = F(n+2)/F(n),
+    Binet's formula gives x - phi**2 = psi**(n+1)/F(n), and
+    phi**(n+1) = F(n)*phi + F(n-1) = F(n+1) + F(n)*(phi - 1), so
 
+        t = x - phi**2 = (-1)**(n+1) / (F(n) * (F(n+1) + F(n)*(phi - 1))).
 
-def _octagon_report(
-    n: int, cfg: PrecisionConfig
-) -> tuple[OctagonGeometry, tuple[Decimal, Decimal, Decimal], tuple[Decimal, Decimal, Decimal]]:
-    """octagon(n, cfg), octagon_limits(cfg) and octagon_deviations(n, cfg),
-    all from one pass at the deviations' wide precision, rounded to cfg.digits.
+    The ratios are e/F(n) = (sqrt(2 - sqrt(2))/2) * x and
+    d/F(n) = (sqrt(2)/2) * (sqrt(x**2 - 1) - 1), their limits the same at
+    x = phi**2, where sqrt(phi**4 - 1) = c + 1 (see ``octagon_limits``).
+    Hence, with l1 and l3 the first and third limits,
 
-    The geometry and the limits share one sqrt(2) and one sqrt(2 - sqrt(2)),
-    so the pass takes five roots.  Each side is first rounded to the wide
-    digits, as octagon and octagon_limits at those digits would give it.
+        dev3 = (sqrt(2 - sqrt(2))/2) * t
+        dev1 = (sqrt(2)/2) * t*(2*phi**2 + t) / (sqrt(x**2 - 1) + c + 1)
+        dev2 = d/e - l1/l3 = (dev1*l3 - l1*dev3) / ((l3 + dev3) * l3)
+
+    by the difference of squares.  Each value takes about a dozen roundings
+    and no cancellation but in dev2's numerator, whose two terms differ by a
+    factor of about 2, so it is within a few ulps at the working precision,
+    cfg.digits plus the guard digits, and rounds once to cfg.digits like
+    every other geometry value.  F(n) and F(n+1) come from one fast
+    doubling; the pass takes five roots.
     """
     n = _as_int(n, "n", 0)
-    _in_range(n + 2)  # before the digit count, which takes a second at F(10**6)
-    wide = cfg.digits + _GUARD_DIGITS + 2 * _digit_count(fib(n))
+    _in_range(n + 2)
     with localcontext() as ctx:
-        ctx.prec = wide + _GUARD_DIGITS
-        roots = _roots_of_two()
-        geo = _rounded(_octagon(n, *roots), wide)
-        limits = [_round_to(limit, wide) for limit in _limits(*roots)]
-        ctx.prec = wide  # exact: both sides have wide digits near 1
-        ratios = (geo.ratio_d_over_f, geo.ratio_d_over_e, geo.ratio_e_over_f)
-        deviations = [ratio - limit for ratio, limit in zip(ratios, limits)]
-    digits = cfg.digits
-    return (
-        _rounded(geo, digits),
-        tuple(_round_to(limit, digits) for limit in limits),
-        tuple(_round_to(deviation, digits) for deviation in deviations),
-    )
+        ctx.prec = cfg.digits + _GUARD_DIGITS
+        sqrt2, root_2m = _roots_of_two()
+        golden, golden2, c = _golden_terms()
+        f_n, f_n1 = _pair(n)
+        scale = _scale(f_n)
+        f = _to_decimal(f_n, scale)
+        t = (-1) ** (n + 1) / (f * (_to_decimal(f_n1, scale) + f * (golden - 1)))
+        x = golden2 + t
+        dev1 = sqrt2 / 2 * (t * (2 * golden2 + t)) / (_sqrt(x * x - 1) + c + 1)
+        dev3 = root_2m / 2 * t
+        l1, l3 = sqrt2 / 2 * c, root_2m / 2 * golden2
+        dev2 = (dev1 * l3 - l1 * dev3) / ((l3 + dev3) * l3)
+    return tuple(_round_to(dev, cfg.digits) for dev in (dev1, dev2, dev3))

@@ -180,7 +180,8 @@ class TestCheck:
             assert calls == {"_sieve_rejects": [beta], "_locate": lookups}
             assert capsys.readouterr().out == out
 
-    def test_one_doubling_per_member(self, monkeypatch, capsys):
+    @pytest.mark.parametrize("command", ["check", "descent"])
+    def test_one_doubling_per_member(self, command, monkeypatch, capsys):
         # the lookup's doubling; the printed walk starts from the certified pair
         from hippasus import cli, descent, fibonacci
 
@@ -194,11 +195,13 @@ class TestCheck:
         beta = fibonacci.fib(5000)
         monkeypatch.setattr(fibonacci, "_pair", spy)
         monkeypatch.setattr(descent, "_pair", spy)
-        assert cli.main(["check", str(beta)]) == 0
+        assert cli.main([command, str(beta)]) == 0
         assert len(doublings) == 1
         out = capsys.readouterr().out
+        assert out.startswith(f"descent: {beta} " if command == "descent" else f"beta: {beta}\n")
         assert out.endswith(" 2 1 1\nfibonacci_index: 5000\n")
-        assert f"successors: {fibonacci.fib(5001)}\n" in out
+        if command == "check":
+            assert f"successors: {fibonacci.fib(5001)}\n" in out
 
     @pytest.mark.parametrize("lookup", [(5000, 13, 21), (7, 13, 21)])
     def test_lookup_with_a_wrong_index_raises(self, monkeypatch, lookup):
@@ -279,6 +282,14 @@ class TestOctagon:
         elapsed = time.perf_counter() - t0
         assert r.returncode == 0 and r.stdout.startswith("n: 100000\n")
         assert elapsed < 2.5, elapsed
+
+    def test_index_of_nearly_a_million_in_under_a_second_and_a_half(self):
+        # about 7 s when the deviations carried 2*len(F(n)) extra digits
+        t0 = time.perf_counter()
+        r = run_cli("octagon", "--n", "999998", timeout=60)
+        elapsed = time.perf_counter() - t0
+        assert r.returncode == 0 and r.stdout.startswith("n: 999998\n")
+        assert elapsed < 1.5, elapsed
 
     def test_report(self):
         r = run_cli("octagon", "--n", "40", "--digits", "50")

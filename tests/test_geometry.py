@@ -13,8 +13,11 @@ from hippasus.geometry import (
     PrecisionConfig,
     PrecisionTooLow,
     _digit_count,
-    _octagon_report,
+    _limits,
+    _octagon,
     _round_to,
+    _rounded,
+    _roots_of_two,
     convergence_table,
     octagon,
     octagon_deviations,
@@ -304,20 +307,46 @@ class TestAgainstTheDecimalSqrtChain:
         assert repr(octagon(100_000, cfg)) == repr(octagon_by_chain(100_000, cfg))
 
 
+def deviations_by_wide_pass(n: int, cfg: PrecisionConfig) -> tuple[Decimal, Decimal, Decimal]:
+    """Reference for octagon_deviations: ratio - limit, with both sides
+    carried at the digits the subtraction cancels.
+
+    The package's former pass: octagon and octagon_limits at
+    wide = digits + 10 + 2*len(F(n)), each rounded to wide digits as those
+    calls give it (both checked against the Decimal.sqrt chain above), the
+    subtraction exact at wide digits, then one rounding to cfg.digits.
+    """
+    wide = cfg.digits + 10 + 2 * _digit_count(fib(n))
+    with localcontext() as ctx:
+        ctx.prec = wide + 10
+        roots = _roots_of_two()
+        geo = _rounded(_octagon(n, *roots), wide)
+        limits = [_round_to(limit, wide) for limit in _limits(*roots)]
+        ctx.prec = wide  # exact: both sides have wide digits near 1
+        ratios = (geo.ratio_d_over_f, geo.ratio_d_over_e, geo.ratio_e_over_f)
+        deviations = [ratio - limit for ratio, limit in zip(ratios, limits)]
+    return tuple(_round_to(deviation, cfg.digits) for deviation in deviations)
+
+
 class TestOctagonReport:
-    def test_one_wide_pass_rounds_like_the_narrow_one(self):
-        for digits in (15, 20, 35, 50, 60, 124):
+    """octagon_deviations, the part of the `octagon` command's report that
+    is not a rounded octagon or octagon_limits value."""
+
+    def test_deviations_equal_the_wide_pass(self):
+        for digits in (15, 16, 20, 50, 101, 200):
             cfg = PrecisionConfig(digits)
-            for n in (0, 1, 2, 3, 9, 40, 41, 100, 199, 500, 1000, 5000):
-                geo, limits, deviations = _octagon_report(n, cfg)
-                assert repr(geo) == repr(octagon(n, cfg)), (n, digits)
-                assert repr(limits) == repr(octagon_limits(cfg))
-                assert repr(deviations) == repr(octagon_deviations(n, cfg))
+            for n in [*range(400), 1000, 2047, 5000, 20_000]:
+                assert repr(octagon_deviations(n, cfg)) == repr(deviations_by_wide_pass(n, cfg)), (
+                    n, digits)
+
+    def test_deviations_equal_the_wide_pass_at_a_hundred_thousand(self):
+        # the wide pass carries 41,858 digits here, the conjugate 60
+        cfg = PrecisionConfig(50)
+        assert repr(octagon_deviations(100_000, cfg)) == repr(deviations_by_wide_pass(100_000, cfg))
 
     @pytest.mark.parametrize("n, digits", [(0, 15), (40, 50), (1000, 200), (3000, 60)])
     def test_takes_five_square_roots(self, monkeypatch, n, digits):
-        # sqrt(2) and sqrt(2 - sqrt(2)) are shared by the geometry and the
-        # limits: p_y, those two, sqrt(5) and its root
+        # sqrt(2), sqrt(2 - sqrt(2)), sqrt(5), its root and sqrt(x**2 - 1)
         roots = []
 
         def spy(x):
@@ -326,12 +355,29 @@ class TestOctagonReport:
 
         sqrt = geometry._sqrt
         monkeypatch.setattr(geometry, "_sqrt", spy)
-        _octagon_report(n, PrecisionConfig(digits))
+        octagon_deviations(n, PrecisionConfig(digits))
         assert len(roots) == 5
 
+    @pytest.mark.parametrize("n", [0, 40, 100_000])
+    def test_one_doubling_and_no_digit_count(self, monkeypatch, n):
+        calls = []
+
+        def spy(name):
+            real = getattr(geometry, name)
+
+            def call(i):
+                calls.append((name, i))
+                return real(i)
+
+            return call
+
+        for name in ("_pair", "fib", "_digit_count"):
+            monkeypatch.setattr(geometry, name, spy(name))
+        octagon_deviations(n, PrecisionConfig())
+        assert calls == [("_pair", n)]
+
     def test_refuses_an_index_past_the_range_at_once(self):
-        # the digit count of F(999,999) alone would take about a second
-        for call in (octagon, octagon_deviations, _octagon_report):
+        for call in (octagon, octagon_deviations):
             t0 = time.perf_counter()
             with pytest.raises(ValueError, match="index 1000001 exceeds"):
                 call(999_999, PrecisionConfig())

@@ -1,7 +1,7 @@
 """Hypothesis properties of the golden-ratio convergence table against a
 closed form kept out of the package, so the suite does not check it against
-itself, and of geometry's square root and integer conversion against
-decimal's own."""
+itself, of the octagon deviations against the wide pass, and of geometry's
+square root and integer conversion against decimal's own."""
 import sys
 from decimal import (
     ROUND_05UP,
@@ -30,7 +30,9 @@ from hippasus.geometry import (  # noqa: E402
     _sqrt,
     _to_decimal,
     convergence_table,
+    octagon_deviations,
 )
+from test_geometry import deviations_by_wide_pass  # noqa: E402
 
 
 # Decimal.sqrt rounds half-even whatever the context's rounding; under the
@@ -103,6 +105,16 @@ def test_rows_at_their_own_precision_match_the_uniform_table(request, rounding):
     assert [(row.n, repr(row.ratio), repr(row.error)) for row in rows] == [
         (n, repr(ratio), repr(error)) for n, ratio, error in expected
     ]
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(min_value=0, max_value=20_000), st.integers(min_value=15, max_value=300))
+def test_deviations_by_the_conjugate_match_the_wide_pass(n, digits):
+    # each deviation has the sign of x - phi**2 = psi**(n+1)/F(n)
+    cfg = PrecisionConfig(digits)
+    deviations = octagon_deviations(n, cfg)
+    assert repr(deviations) == repr(deviations_by_wide_pass(n, cfg))
+    assert all((deviation > 0) == (n % 2 == 1) for deviation in deviations)
 
 
 # --- the square root and the rounded conversion against decimal's own -------
