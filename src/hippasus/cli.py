@@ -96,8 +96,7 @@ def _cmd_wasteels(args: argparse.Namespace) -> int:
 
 def _cmd_octagon(args: argparse.Namespace) -> int:
     cfg = PrecisionConfig(digits=args.digits)
-    geo = geometry.octagon(args.n, cfg)
-    limits, deviations = geometry.octagon_limits(cfg), geometry.octagon_deviations(args.n, cfg)
+    geo, limits, deviations = geometry._octagon_report(args.n, cfg)
     print(f"n: {geo.n}")
     print(f"digits: {cfg.digits}")
     print(f"p: ({geo.p[0]}, {geo.p[1]})")

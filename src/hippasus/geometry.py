@@ -7,10 +7,14 @@ Internally every computation carries ``digits + 10`` guard digits and rounds
 back once at the end, so published values are correctly rounded at the
 requested precision (a bare precision-``digits`` chain would double-round:
 e.g. the golden ratio at 15 digits must come out 1.61803398874989, not
-...90).  The octagon's distances to its limits come from the conjugate
--1/phi at the same guard digits; only the convergence rows carry the digits
-their subtraction cancels, about 2*log10(F(n)).  Precision travels
-explicitly in a PrecisionConfig value; no global decimal state is touched.
+...90).  Only the convergence rows carry the digits their subtraction
+cancels, about 2*log10(F(n)).  Precision travels explicitly in a
+PrecisionConfig value; no global decimal state is touched.
+
+The octagon's three ratios are one formula in x = F(n+2)/F(n) and
+s = sqrt(x**2 - 1); their limits are the same formula at x = phi**2,
+s = c + 1, and the distances between them come from the conjugate -1/phi.
+The ``octagon`` report takes one fast doubling and five square roots.
 
 Square roots above a couple of hundred digits run Newton's iteration on
 division instead of ``Decimal.sqrt``, whose cost grows as the square of the
@@ -52,12 +56,6 @@ class PrecisionConfig(namedtuple("PrecisionConfig", "digits")):
         if digits < 15:
             raise PrecisionTooLow(f"digits must be >= 15, got {digits}")
         return super().__new__(cls, digits)
-
-
-def _round_to(value: Decimal, digits: int) -> Decimal:
-    with localcontext() as ctx:
-        ctx.prec = digits
-        return +value
 
 
 def _digit_count(value: int) -> int:
@@ -181,7 +179,8 @@ def phi(cfg: PrecisionConfig) -> Decimal:
     with localcontext() as ctx:
         ctx.prec = cfg.digits + _GUARD_DIGITS
         value = _golden()
-    return _round_to(value, cfg.digits)
+        ctx.prec = cfg.digits
+        return +value
 
 
 class ConvergenceRow(namedtuple("ConvergenceRow", "n ratio error")):
@@ -260,12 +259,11 @@ class OctagonGeometry(
 def octagon(n: int, cfg: PrecisionConfig) -> OctagonGeometry:
     """Geometry at index n: coordinates, side lengths d and e, and the three
     tracked ratios d/F(n), d/e, e/F(n), all to cfg.digits."""
-    n = _as_int(n, "n", 0)
-    _in_range(n + 2)
     with localcontext() as ctx:
         ctx.prec = cfg.digits + _GUARD_DIGITS
-        geo = _octagon(n, *_roots_of_two())
-    return _rounded(geo, cfg.digits)
+        geo = _octagon(n, *_roots_of_two())[0]
+        ctx.prec = cfg.digits
+        return _rounded(geo)
 
 
 def _roots_of_two() -> tuple[Decimal, Decimal]:
@@ -275,32 +273,38 @@ def _roots_of_two() -> tuple[Decimal, Decimal]:
     return sqrt2, _sqrt(2 - sqrt2)
 
 
-def _octagon(n: int, sqrt2: Decimal, root_2m: Decimal) -> OctagonGeometry:
-    """The geometry at index n with every value carried at the current
-    context's precision, given sqrt(2) and sqrt(2 - sqrt(2)) at it.
+def _octagon(n: int, sqrt2: Decimal, root_2m: Decimal) -> tuple[OctagonGeometry, Decimal, Decimal]:
+    """The geometry at index n, every value at the current context's
+    precision, given sqrt(2) and sqrt(2 - sqrt(2)) at it; then the point
+    (x, s) its ratios are taken at (``_ratios``).
 
-    F(n) and F(n+2) come from one fast doubling, and each enters the decimal
-    arithmetic once, rounded to the precision: F(n)/2 and F(n+2)/2 by
-    ``_half``, and F(n) as the divisor of the two ratios by ``_to_decimal``.
-    The three conversions share the power of ten of the smallest value, F(n).
+    F(n) and F(n+2) come from one fast doubling, each halved and rounded
+    once by ``_half``.  s is p_y's own root over F(n)/2: F(n)/2 * sqrt(x**2 - 1)
+    would not keep an exact root exact (n = 4, 5-12-13: 6.0, not 6.00).
     """
-    f_n, f_n1 = _pair(n)
-    f_n2 = f_n + f_n1
+    n = _as_int(n, "n", 0)
+    f_n, f_n1 = _pair(_in_range(n + 2) - 2)
     scale = _scale(f_n)
     half_inner = _half(f_n, scale)
-    half_outer = _half(f_n2, scale)
+    half_outer = _half(f_n + f_n1, scale)
     p_y = _sqrt(half_outer * half_outer - half_inner * half_inner)
-    d = sqrt2 * (p_y - half_inner)
-    e = half_outer * root_2m  # 2R*sin(pi/8) for diameter F(n+2)
-    f = _to_decimal(f_n, scale)
-    return OctagonGeometry(n, (half_inner, p_y), (p_y, half_inner), d, e, d / f, d / e, e / f)
+    x, s = half_outer / half_inner, p_y / half_inner
+    ratios = _ratios(x, s, sqrt2, root_2m)
+    d, e = sqrt2 * (p_y - half_inner), half_outer * root_2m  # e = 2R*sin(pi/8), 2R = F(n+2)
+    return OctagonGeometry(n, (half_inner, p_y), (p_y, half_inner), d, e, *ratios), x, s
 
 
-def _rounded(geo: OctagonGeometry, digits: int) -> OctagonGeometry:
-    """geo with every value rounded to digits."""
-    p = (_round_to(geo.p[0], digits), _round_to(geo.p[1], digits))
-    values = (geo.d, geo.e, geo.ratio_d_over_f, geo.ratio_d_over_e, geo.ratio_e_over_f)
-    return OctagonGeometry(geo.n, p, (p[1], p[0]), *(_round_to(v, digits) for v in values))
+def _ratios(x: Decimal, s: Decimal, sqrt2: Decimal, root_2m: Decimal) -> tuple[Decimal, ...]:
+    """(d/F(n), d/e, e/F(n)) at x = F(n+2)/F(n), s = sqrt(x**2 - 1), given
+    sqrt(2) and sqrt(2 - sqrt(2)): with the inner radius F(n)/2 as the unit,
+    p = (1, s), d = sqrt(2)*(s - 1) and e = sqrt(2 - sqrt(2))*x."""
+    return sqrt2 / 2 * (s - 1), sqrt2 * (s - 1) / (root_2m * x), root_2m / 2 * x
+
+
+def _rounded(geo: OctagonGeometry) -> OctagonGeometry:
+    """geo with every value rounded to the current context."""
+    p = (+geo.p[0], +geo.p[1])
+    return OctagonGeometry(geo.n, p, (p[1], p[0]), *(+value for value in geo[3:]))
 
 
 def octagon_limits(cfg: PrecisionConfig) -> tuple[Decimal, Decimal, Decimal]:
@@ -310,31 +314,24 @@ def octagon_limits(cfg: PrecisionConfig) -> tuple[Decimal, Decimal, Decimal]:
         (sqrt(2)/sqrt(2 - sqrt(2))) * (sqrt(1 - phi**-4) - phi**-2)  ~ 1.00187
         (sqrt(2 - sqrt(2))/2) * phi**2                          ~ 1.00188
 
-    The first equals the product of the other two.  Since
-    phi**4 - 1 = sqrt(5) * phi**2, sqrt(phi**4 - 1) = phi * 5**(1/4) and
-    sqrt(1 - phi**-4) = 5**(1/4) / phi; with c = phi * 5**(1/4) - 1 the first
-    is (sqrt(2)/2) * c and the second (sqrt(2)/sqrt(2 - sqrt(2))) * c / phi**2,
-    which takes four square roots instead of five.
+    The first equals the product of the other two.  They are ``_ratios`` at
+    x = phi**2 and s = sqrt(phi**4 - 1) = c + 1, where c = phi * 5**(1/4) - 1
+    since phi**4 - 1 = sqrt(5) * phi**2: four square roots instead of five.
+    The ``octagon`` report shares two with the octagon: five, one doubling.
     """
     with localcontext() as ctx:
         ctx.prec = cfg.digits + _GUARD_DIGITS
-        limits = _limits(*_roots_of_two())
-    return tuple(_round_to(limit, cfg.digits) for limit in limits)
+        limits = _ratios(*_golden_terms(), *_roots_of_two())
+        ctx.prec = cfg.digits
+        return tuple(+limit for limit in limits)
 
 
-def _limits(sqrt2: Decimal, root_2m: Decimal) -> tuple[Decimal, Decimal, Decimal]:
-    """octagon_limits at the current context's precision, given sqrt(2) and
-    sqrt(2 - sqrt(2)) at it."""
-    _, golden2, c = _golden_terms()
-    return sqrt2 / 2 * c, sqrt2 / root_2m * (c / golden2), root_2m / 2 * golden2
-
-
-def _golden_terms() -> tuple[Decimal, Decimal, Decimal]:
-    """phi, phi**2 and c = phi * 5**(1/4) - 1 in the current context: two
-    roots, of 5 and of sqrt(5)."""
+def _golden_terms() -> tuple[Decimal, Decimal]:
+    """phi**2 and phi * 5**(1/4) = sqrt(phi**4 - 1) in the current context,
+    the point (x, s) of the limits: two roots, of 5 and of sqrt(5)."""
     sqrt5 = _sqrt(Decimal(5))
     golden = (1 + sqrt5) / 2
-    return golden, golden * golden, golden * _sqrt(sqrt5) - 1
+    return golden * golden, golden * _sqrt(sqrt5)
 
 
 def octagon_deviations(n: int, cfg: PrecisionConfig) -> tuple[Decimal, Decimal, Decimal]:
@@ -344,39 +341,42 @@ def octagon_deviations(n: int, cfg: PrecisionConfig) -> tuple[Decimal, Decimal, 
     cancel about 2*log10(F(n)) digits; each deviation is instead taken from
     the conjugate psi = -1/phi, where nothing cancels.  With x = F(n+2)/F(n),
     Binet's formula gives x - phi**2 = psi**(n+1)/F(n), and
-    phi**(n+1) = F(n)*phi + F(n-1) = F(n+1) + F(n)*(phi - 1), so
+    phi**(n+1) = F(n)*phi + F(n-1) = F(n) * (x + phi**2 - 3), so
 
-        t = x - phi**2 = (-1)**(n+1) / (F(n) * (F(n+1) + F(n)*(phi - 1))).
+        t = x - phi**2 = (-1)**(n+1) / (F(n)**2 * (x + phi**2 - 3)).
 
-    The ratios are e/F(n) = (sqrt(2 - sqrt(2))/2) * x and
-    d/F(n) = (sqrt(2)/2) * (sqrt(x**2 - 1) - 1), their limits the same at
-    x = phi**2, where sqrt(phi**4 - 1) = c + 1 (see ``octagon_limits``).
-    Hence, with l1 and l3 the first and third limits,
+    The ratios are ``_ratios`` at (x, s = sqrt(x**2 - 1)) and the limits at
+    (phi**2, S = sqrt(phi**4 - 1)); with l1 and l3 the first and third limits,
 
         dev3 = (sqrt(2 - sqrt(2))/2) * t
-        dev1 = (sqrt(2)/2) * t*(2*phi**2 + t) / (sqrt(x**2 - 1) + c + 1)
+        dev1 = (sqrt(2)/2) * (s - S) = (sqrt(2)/2) * t*(x + phi**2) / (s + S)
         dev2 = d/e - l1/l3 = (dev1*l3 - l1*dev3) / ((l3 + dev3) * l3)
 
     by the difference of squares.  Each value takes about a dozen roundings
-    and no cancellation but in dev2's numerator, whose two terms differ by a
-    factor of about 2, so it is within a few ulps at the working precision,
-    cfg.digits plus the guard digits, and rounds once to cfg.digits like
-    every other geometry value.  F(n) and F(n+1) come from one fast
-    doubling; the pass takes five roots.
+    and cancels nowhere but in dev2's numerator, whose terms differ by a
+    factor of about 2: it is within a few ulps at the guard digits and rounds
+    once to cfg.digits.  This is the ``octagon`` report's pass: one fast
+    doubling and five roots.
     """
-    n = _as_int(n, "n", 0)
-    _in_range(n + 2)
+    return _octagon_report(n, cfg)[2]
+
+
+def _octagon_report(
+    n: int, cfg: PrecisionConfig
+) -> tuple[OctagonGeometry, tuple[Decimal, ...], tuple[Decimal, ...]]:
+    """octagon(n, cfg), octagon_limits(cfg) and octagon_deviations(n, cfg)
+    from one pass at the guard digits: one fast doubling, five roots, and
+    one rounding of each value."""
     with localcontext() as ctx:
         ctx.prec = cfg.digits + _GUARD_DIGITS
         sqrt2, root_2m = _roots_of_two()
-        golden, golden2, c = _golden_terms()
-        f_n, f_n1 = _pair(n)
-        scale = _scale(f_n)
-        f = _to_decimal(f_n, scale)
-        t = (-1) ** (n + 1) / (f * (_to_decimal(f_n1, scale) + f * (golden - 1)))
-        x = golden2 + t
-        dev1 = sqrt2 / 2 * (t * (2 * golden2 + t)) / (_sqrt(x * x - 1) + c + 1)
+        geo, x, s = _octagon(n, sqrt2, root_2m)
+        golden2, s_limit = _golden_terms()
+        limits = l1, _, l3 = _ratios(golden2, s_limit, sqrt2, root_2m)
+        x_sum = x + golden2
+        t = (-1) ** (geo.n + 1) / (4 * geo.p[0] * geo.p[0] * (x_sum - 3))  # F(n) = 2*p[0]
+        dev1 = sqrt2 / 2 * (t * x_sum) / (s + s_limit)
         dev3 = root_2m / 2 * t
-        l1, l3 = sqrt2 / 2 * c, root_2m / 2 * golden2
         dev2 = (dev1 * l3 - l1 * dev3) / ((l3 + dev3) * l3)
-    return tuple(_round_to(dev, cfg.digits) for dev in (dev1, dev2, dev3))
+        ctx.prec = cfg.digits
+        return _rounded(geo), tuple(+limit for limit in limits), (+dev1, +dev2, +dev3)

@@ -1,4 +1,3 @@
-import random
 import sys
 import time
 from decimal import Decimal, localcontext
@@ -7,17 +6,15 @@ import mpmath
 import pytest
 
 from hippasus import geometry
+from hippasus.cli import main
 from hippasus.fibonacci import fib
 from hippasus.geometry import (
     OctagonGeometry,
     PrecisionConfig,
     PrecisionTooLow,
     _digit_count,
-    _limits,
-    _octagon,
-    _round_to,
-    _rounded,
-    _roots_of_two,
+    _octagon_report,
+    _sqrt,
     convergence_table,
     octagon,
     octagon_deviations,
@@ -251,6 +248,12 @@ class TestOctagonDeviations:
 # The package's former chain, kept as the oracle: every root by Decimal.sqrt,
 # every Fibonacci operand converted whole, five roots for the limits.
 
+def _round_to(value: Decimal, digits: int) -> Decimal:
+    with localcontext() as ctx:
+        ctx.prec = digits
+        return +value
+
+
 def octagon_by_chain(n: int, cfg: PrecisionConfig) -> OctagonGeometry:
     f_n, f_n2 = fib(n), fib(n + 2)
     with localcontext() as ctx:
@@ -291,13 +294,9 @@ class TestAgainstTheDecimalSqrtChain:
             assert repr(octagon_limits(cfg)) == repr(limits_by_chain(cfg)), digits
 
     def test_octagon_on_a_sample(self):
-        rng = random.Random(8)
-        for digits in range(15, 401):
+        for digits in (15, 16, 20, 50, 101, 200):
             cfg = PrecisionConfig(digits)
-            sample = [rng.randrange(0, 200), rng.randrange(200, 2000)]
-            if digits % 10 == 0:
-                sample.append(rng.randrange(2000, 21001))
-            for n in sample:
+            for n in [*range(400), 1000, 2047, 5000, 20_000]:
                 assert repr(octagon(n, cfg)) == repr(octagon_by_chain(n, cfg)), (n, digits)
 
     @pytest.mark.parametrize("digits", [15, 50, 1000])
@@ -311,19 +310,33 @@ def deviations_by_wide_pass(n: int, cfg: PrecisionConfig) -> tuple[Decimal, Deci
     """Reference for octagon_deviations: ratio - limit, with both sides
     carried at the digits the subtraction cancels.
 
-    The package's former pass: octagon and octagon_limits at
-    wide = digits + 10 + 2*len(F(n)), each rounded to wide digits as those
-    calls give it (both checked against the Decimal.sqrt chain above), the
+    The published formulas at wide = digits + 10 + 2*len(F(n)), ten digits
+    past it, with F(n) and F(n+2) converted whole and the limits in their
+    five-root form: each ratio and limit rounded to wide digits, the
     subtraction exact at wide digits, then one rounding to cfg.digits.
+    _sqrt is Decimal.sqrt's value (test_geometry_properties) at a fraction
+    of its cost past a few thousand digits.
     """
     wide = cfg.digits + 10 + 2 * _digit_count(fib(n))
+    f_n, f_n2 = Decimal(fib(n)), Decimal(fib(n + 2))
     with localcontext() as ctx:
         ctx.prec = wide + 10
-        roots = _roots_of_two()
-        geo = _rounded(_octagon(n, *roots), wide)
-        limits = [_round_to(limit, wide) for limit in _limits(*roots)]
+        half_inner, half_outer = f_n / 2, f_n2 / 2
+        p_y = _sqrt(half_outer * half_outer - half_inner * half_inner)
+        sqrt2 = _sqrt(Decimal(2))
+        root_2m = _sqrt(2 - sqrt2)
+        d, e = sqrt2 * (p_y - half_inner), half_outer * root_2m
+        golden2 = ((1 + _sqrt(Decimal(5))) / 2) ** 2
+        golden4 = golden2 * golden2
+        ratios = (d / f_n, d / e, e / f_n)
+        limits = (
+            sqrt2 / 2 * (_sqrt(golden4 - 1) - 1),
+            sqrt2 / root_2m * (_sqrt(1 - 1 / golden4) - 1 / golden2),
+            root_2m / 2 * golden2,
+        )
+        ratios = [_round_to(ratio, wide) for ratio in ratios]
+        limits = [_round_to(limit, wide) for limit in limits]
         ctx.prec = wide  # exact: both sides have wide digits near 1
-        ratios = (geo.ratio_d_over_f, geo.ratio_d_over_e, geo.ratio_e_over_f)
         deviations = [ratio - limit for ratio, limit in zip(ratios, limits)]
     return tuple(_round_to(deviation, cfg.digits) for deviation in deviations)
 
@@ -344,37 +357,53 @@ class TestOctagonReport:
         cfg = PrecisionConfig(50)
         assert repr(octagon_deviations(100_000, cfg)) == repr(deviations_by_wide_pass(100_000, cfg))
 
+    def test_report_equals_the_three_public_calls(self):
+        for digits in (15, 50, 200):
+            cfg = PrecisionConfig(digits)
+            for n in range(400):
+                public = (octagon(n, cfg), octagon_limits(cfg), octagon_deviations(n, cfg))
+                assert repr(_octagon_report(n, cfg)) == repr(public), (n, digits)
+
+    def test_exact_root_at_the_5_12_13_triangle(self):
+        # F(4) = 5 and F(6) = 13: p_y = sqrt(6.5**2 - 2.5**2) = 6 exactly,
+        # with Decimal.sqrt's exponent (equal as numbers to 6.00, not in repr)
+        geo = octagon(4, PrecisionConfig())
+        assert repr(geo.p) == repr((Decimal("2.5"), Decimal("6.0")))
+        assert repr(geo.q) == repr((Decimal("6.0"), Decimal("2.5")))
+
+    @pytest.mark.parametrize("n", [0, 40, 1000, 100_000])
+    def test_the_command_makes_one_doubling_and_five_roots(self, monkeypatch, capsys, n):
+        # sqrt(2), sqrt(2 - sqrt(2)), p_y, sqrt(5) and its root
+        calls = _spy(monkeypatch)
+        assert main(["octagon", "--n", str(n)]) == 0
+        assert calls["_pair"] == [n]
+        assert len(calls["_sqrt"]) == 5
+        assert calls["fib"] == calls["_digit_count"] == []
+
     @pytest.mark.parametrize("n, digits", [(0, 15), (40, 50), (1000, 200), (3000, 60)])
     def test_takes_five_square_roots(self, monkeypatch, n, digits):
-        # sqrt(2), sqrt(2 - sqrt(2)), sqrt(5), its root and sqrt(x**2 - 1)
-        roots = []
-
-        def spy(x):
-            roots.append(x)
-            return sqrt(x)
-
-        sqrt = geometry._sqrt
-        monkeypatch.setattr(geometry, "_sqrt", spy)
+        calls = _spy(monkeypatch)
         octagon_deviations(n, PrecisionConfig(digits))
-        assert len(roots) == 5
+        assert len(calls["_sqrt"]) == 5
 
     @pytest.mark.parametrize("n", [0, 40, 100_000])
     def test_one_doubling_and_no_digit_count(self, monkeypatch, n):
-        calls = []
-
-        def spy(name):
-            real = getattr(geometry, name)
-
-            def call(i):
-                calls.append((name, i))
-                return real(i)
-
-            return call
-
-        for name in ("_pair", "fib", "_digit_count"):
-            monkeypatch.setattr(geometry, name, spy(name))
+        calls = _spy(monkeypatch)
         octagon_deviations(n, PrecisionConfig())
-        assert calls == [("_pair", n)]
+        assert calls["_pair"] == [n]
+        assert calls["fib"] == calls["_digit_count"] == []
+
+    @pytest.mark.parametrize("n, digits", [(0, 15), (40, 50), (1000, 200), (3000, 60)])
+    def test_octagon_and_its_limits_take_only_their_roots(self, monkeypatch, n, digits):
+        # octagon: sqrt(2), sqrt(2 - sqrt(2)) and p_y, from one doubling;
+        # octagon_limits: the roots of two, sqrt(5) and its root, no doubling
+        calls = _spy(monkeypatch)
+        octagon(n, PrecisionConfig(digits))
+        assert (len(calls["_sqrt"]), calls["_pair"]) == (3, [n])
+        calls = _spy(monkeypatch)
+        octagon_limits(PrecisionConfig(digits))
+        assert (len(calls["_sqrt"]), calls["_pair"]) == (4, [])
+        assert calls["fib"] == calls["_digit_count"] == []
 
     def test_refuses_an_index_past_the_range_at_once(self):
         for call in (octagon, octagon_deviations):
@@ -382,6 +411,26 @@ class TestOctagonReport:
             with pytest.raises(ValueError, match="index 1000001 exceeds"):
                 call(999_999, PrecisionConfig())
             assert time.perf_counter() - t0 < 0.5
+
+
+def _spy(monkeypatch) -> dict[str, list]:
+    """The arguments of every call the geometry module makes to _sqrt,
+    _pair, fib and _digit_count, by name."""
+    calls = {}
+
+    def spy(name):
+        real = getattr(geometry, name)
+        calls[name] = []
+
+        def call(x):
+            calls[name].append(x)
+            return real(x)
+
+        return call
+
+    for name in ("_sqrt", "_pair", "fib", "_digit_count"):
+        monkeypatch.setattr(geometry, name, spy(name))
+    return calls
 
 
 def test_limits_at_ten_thousand_digits_take_under_a_tenth_of_a_second():
