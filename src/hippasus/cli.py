@@ -185,11 +185,11 @@ def _verify_convergence(bound: int) -> int:
 # suite name -> (runner, default bound, ceiling).  _cmd_verify refuses a
 # bound above the ceiling before the run starts.  Each ceiling is set by
 # time, on a 2-vCPU VM (Python 3.11): equivalence costs 1.6-3.3 us a beta,
-# 15-28 minutes at its ceiling; cassini's walk grows about 6 times per
-# doubling of the bound (1.7 s at 20,000, 13 s at 40,000, 74 s at 80,000);
-# convergence's about 7 times (1.3 s at 10,000, 9.9 s at 20,000, 81 s at
-# 40,000).  The descent decides parity at once for every bound, so it has
-# no ceiling.
+# 15-28 minutes at its ceiling; cassini's walk grows 5-8 times per doubling
+# of the bound (1.5 s at 20,000, 8-10 s at 40,000, 51-64 s at 80,000, 340 s
+# at its ceiling); convergence's about 7 times (1.3 s at 10,000, 9.9 s at
+# 20,000, 81 s at 40,000).  The descent decides parity at once for every
+# bound, so it has no ceiling.
 VERIFY_SUITES = {
     "cassini": (_verify_cassini, 300, 160_000),
     "equivalence": (_verify_equivalence, 100_000, 500_000_000),

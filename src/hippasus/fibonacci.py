@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 import operator
-from bisect import bisect_left
 
 MAX_INDEX = 1_000_000
 
@@ -97,13 +96,9 @@ def _in_range(i: int) -> int:
 def _locate(n: int) -> tuple[int, int, int]:
     """(i, F(i), F(i+1)) for the smallest i with F(i) >= n, for any n >= 1.
 
-    Up to F(2046) the index is a binary search of the table.  Above it, the
-    index is estimated from n's bit length and corrected by single steps
+    The index is estimated from n's bit length and corrected by single steps
     along the sequence; the estimate is within a step or two of the answer.
     """
-    if n <= _TABLE[-2]:  # so that F(i+1) is in the table too
-        i = bisect_left(_TABLE, n)
-        return i, _TABLE[i], _TABLE[i + 1]
     i = int((n.bit_length() - 0.5 + _LOG2_SQRT5) / _LOG2_PHI) - 1
     a, b = _pair(i)
     while a < n:

@@ -18,24 +18,29 @@ The ``octagon`` report takes one fast doubling and five square roots.
 
 Square roots above a couple of hundred digits run Newton's iteration on
 division instead of ``Decimal.sqrt``, whose cost grows as the square of the
-digit count; ``_sqrt`` returns the same correctly rounded value.
+digit count, to ten digits past the target; ``_sqrt`` rounds once when
+those ten digits show no rounding boundary near, hands the rare root that
+lies near one to ``Decimal.sqrt``, and so returns the same correctly rounded
+value (``octagon_limits`` at 10**4 digits: 14 ms, against 175 ms with
+``Decimal.sqrt``, on a 2-vCPU VM with Python 3.11).
 """
 from __future__ import annotations
 
 import math
 from collections import namedtuple
 from collections.abc import Iterator
-from decimal import Decimal, getcontext, localcontext
+from decimal import ROUND_HALF_EVEN, Decimal, getcontext, localcontext
 
 from .fibonacci import _as_int, _checked_make, _in_range, _pair, fib
 
 _GUARD_DIGITS = 10
 
-# At or below this precision Decimal.sqrt is at least as fast as _sqrt's
-# Newton iteration: on a 2-vCPU VM with Python 3.11 both take 21 us at 200
-# digits, against 13 us (Decimal.sqrt) and 17 us at 150, 42 us and 28 us at
-# 300.  Every default-size CLI call carries at most 124 digits and so keeps
-# Decimal.sqrt.
+# At or below this precision _sqrt is Decimal.sqrt.  On a 2-vCPU VM with
+# Python 3.11, Decimal.sqrt takes 4-5 us at 60 digits, where the Newton
+# iteration takes 8 us; the two tie near 100 digits, and the iteration wins
+# from there: 11 us against 15 at 150, 8-9 us against 20-22 at 200, and
+# 10 us against 43 at 300.  Every default-size CLI call carries at most 124
+# digits and so keeps Decimal.sqrt.
 _NEWTON_DIGITS = 200
 
 _LOG10_2 = math.log10(2)
@@ -71,22 +76,34 @@ def _sqrt(x: Decimal) -> Decimal:
     """x.sqrt() in the current context, at the cost of a few divisions.
 
     libmpdec's square root (CPython 3.10-3.12) is quadratic in the precision:
-    22 ms at 7,500 digits, where a division takes 1.4 ms.  Above
-    _NEWTON_DIGITS this starts from Decimal.sqrt at about 50 digits and runs
-    Newton's iteration y <- (y + x/y)/2 at precisions that double up to the
-    target plus three (Brent & Zimmermann, Modern Computer Arithmetic, 3.5),
-    rounds once, and then steps the result by one ulp until exact squares of
-    the midpoints to its neighbours bracket x, ties going to the even
-    neighbour.  The result is then the correctly rounded root under
-    ROUND_HALF_EVEN, which is what Decimal.sqrt returns, so the two are
-    equal; an exact root also gets Decimal.sqrt's exponent.
+    24 ms at 7,500 digits, where a division takes 1.4 ms.  Above
+    _NEWTON_DIGITS this starts from Decimal.sqrt at 50 digits or fewer and
+    runs Newton's iteration y <- (y + x/y)/2, half-even, at precisions that
+    double up to the target plus ten (Brent & Zimmermann, Modern Computer
+    Arithmetic, 3.5).  An ulp at precision p is here 10**(1 - p) of the
+    value.  The start is correctly rounded, and each step at precision p
+    comes from precision p//2 + 2, so the squared error it inherits is under
+    0.1 ulp at p; the step adds four roundings of at most half an ulp: x on
+    entry and the division, each worth half as much in the sum, then the
+    addition and the halving.  y is therefore within 2 ulps of the root at
+    the target plus ten, under 20 units of its last digit.
+
+    Rounding y to the target then gives the correctly rounded root unless a
+    rounding boundary lies that near: Ziv's rounding test (ACM TOMS 17(3),
+    1991) reads the ten digits past the target's, zeros past y's end, and
+    takes +y when they lie more than 100 units from 0, 5*10**9 and 10**10.
+    That is Decimal.sqrt's value, ties to even whatever the caller's
+    rounding, with all prec digits, as an inexact root has.  Otherwise
+    (exact roots, midpoints, and about 4 in 10**8 roots whose digits are
+    evenly spread) Decimal.sqrt decides.
     """
     prec = getcontext().prec
     if prec <= _NEWTON_DIGITS or not x > 0:
         return x.sqrt()
     with localcontext() as ctx:
+        ctx.rounding = ROUND_HALF_EVEN
         ladder = []
-        step = prec + 3
+        step = prec + 10
         while step > 50:
             ladder.append(step)
             step = step // 2 + 2  # one step takes k correct digits to about 2k
@@ -95,31 +112,11 @@ def _sqrt(x: Decimal) -> Decimal:
         for step in reversed(ladder):
             ctx.prec = step
             y = (y + (+x) / y) / 2  # x rounded to the step: a shorter division
-        ctx.prec = prec
-        r = +y
-        narrow = ctx.copy()
-        ctx.prec = 2 * prec + 10  # squares of prec + 1 digits are exact
-        # all prec digits, as an inexact Decimal.sqrt has, should an exact
-        # division have left y short; the parity test reads the last of them
-        r = r.quantize(Decimal((0, (1,), r.adjusted() - prec + 1)))
-        while True:
-            up = r.next_plus(narrow)
-            mid = (r + up) / 2
-            mid *= mid
-            if mid < x or mid == x and r.as_tuple().digits[-1] % 2:
-                r = up
-                continue
-            down = r.next_minus(narrow)
-            mid = (down + r) / 2
-            mid *= mid
-            if mid > x or mid == x and r.as_tuple().digits[-1] % 2:
-                r = down
-                continue
-            break
-        if r * r == x:  # exact: the ideal exponent is half x's, as near as prec allows
-            ideal = max(x.as_tuple().exponent // 2, r.adjusted() - prec + 1)
-            r = r.quantize(Decimal((0, (1,), ideal)))
-    return r
+        tail = int(y.scaleb(prec + 9 - y.adjusted()) % 10**10)  # digits prec+1..prec+10
+        if 100 < tail % (5 * 10**9) < 5 * 10**9 - 100:  # far from 0, 5*10**9, 10**10
+            ctx.prec = prec
+            return +y
+    return x.sqrt()
 
 
 def _least_digits(n: int) -> int:

@@ -29,7 +29,8 @@ class TableRow(namedtuple("TableRow", "beta alpha sum sign alpha_squared")):
 
     @property
     def product(self) -> int:
-        return self.beta * self.sum
+        # beta * sum, which is alpha**2 + sign for every checked or certified row
+        return self.alpha_squared + self.sign
 
     @property
     def annotation(self) -> str:
@@ -45,7 +46,7 @@ def build_rows(max_beta: int) -> list[TableRow]:
 
     The rows are the orbit of (1, 1, +1) under ``extend``, walked by bare
     addition: O(log max_beta) rows and no search.  One certificate covers
-    them all: the top row's residual, product - alpha_squared, must be its
+    them all: the top row's residual, beta * sum - alpha_squared, must be its
     sign (else RuntimeError), and by the paper's descent lemma each step
     down, to the row before, negates the residual.  The walk relies on the
     paper's theorem that this orbit holds every Hippasus pair; acceptance
@@ -58,7 +59,7 @@ def build_rows(max_beta: int) -> list[TableRow]:
         rows.append(_unchecked_row((beta, alpha, beta + alpha, sign, alpha * alpha)))
         beta, alpha, sign = alpha, beta + alpha, -sign
     top = rows[-1]
-    if top.product - top.alpha_squared != top.sign:
+    if top.beta * top.sum - top.alpha_squared != top.sign:
         raise RuntimeError(f"the table's top row {top} fails its certificate")
     return rows
 

@@ -369,7 +369,8 @@ class TestDescend:
                 DescentTrace(13, bad_index)
 
     def test_matches_walk_across_threshold(self):
-        # every i across the index lookup's switch from bisect to estimate at F(2046)
+        # every i to 2100 and two far beyond: the index lookup's bit-length
+        # estimate and its single steps against the walk
         for i in list(range(2, 2101)) + [5000, 10**4]:
             for beta in (fib(i) - 1, fib(i), fib(i) + 1):
                 assert descend(beta) == descend_by_walk(beta), (i, beta)

@@ -161,7 +161,7 @@ class TestFibIndexOf:
             assert fib_index_of(value) == i
 
     def test_locate_matches_walk_through_the_table(self):
-        # the table bisection up to F(2046) and the estimate above it
+        # the bit-length estimate and its single steps, from n = 1 to F(2050) + 1
         values = [fib_by_addition(i + 1) for i in range(2051)]
         targets = [v + d for v in values for d in (-1, 0, 1) if v + d >= 1]
         walk = first_index_at_least(targets)

@@ -35,9 +35,9 @@ from hippasus.geometry import (  # noqa: E402
 from test_geometry import deviations_by_wide_pass  # noqa: E402
 
 
-# Decimal.sqrt rounds half-even whatever the context's rounding; under the
-# other modes _sqrt's first rounding lands an ulp off about half the time,
-# which leaves the result to the exact correction
+# Decimal.sqrt rounds half-even whatever the context's rounding; _sqrt runs
+# its Newton steps and the final rounding half-even in a context of its own,
+# so the caller's mode reaches neither the rounding test nor its result
 ROUNDINGS = (ROUND_HALF_EVEN, ROUND_DOWN, ROUND_UP, ROUND_CEILING, ROUND_FLOOR,
              ROUND_HALF_UP, ROUND_HALF_DOWN, ROUND_05UP)
 
@@ -162,16 +162,61 @@ def test_sqrt_is_decimal_sqrt(case, rounding):
 
 @pytest.mark.parametrize("rounding", ROUNDINGS)
 def test_sqrt_ties_go_to_even(rounding):
-    # x = m**2 for an m of prec + 1 digits ending in 5: the root is a midpoint
+    # x = m**2 for an m of prec + 1 digits ending in 5: the root is a midpoint;
+    # a few units off m**2 at 3*prec digits, it is a hair to either side
     for prec in (250, 1000):
         for tail in (5, 15, 25, 95, 99995):
             with localcontext() as ctx:
                 ctx.prec = 3 * prec
                 m = Decimal(10**prec + tail).scaleb(-prec)
-                x = m * m
-                ctx.prec = prec
-                ctx.rounding = rounding
-                assert repr(_sqrt(x)) == repr(x.sqrt()), (prec, tail)
+                square = m * m
+                unit = Decimal((0, (1,), square.adjusted() - 3 * prec + 1))
+                for x in (square, square - 3 * unit, square + unit):
+                    ctx.prec = prec
+                    ctx.rounding = rounding
+                    assert repr(_sqrt(x)) == repr(x.sqrt()), (prec, tail, x - square)
+
+
+class SqrtSpy(Decimal):
+    """A radicand that counts the calls to its own sqrt."""
+
+    def sqrt(self, context=None):
+        self.calls = getattr(self, "calls", 0) + 1
+        return super().sqrt(context)
+
+
+def _sqrt_calls(x: Decimal) -> int:
+    """The Decimal.sqrt calls _sqrt makes on x in the current context,
+    once its result has been checked against Decimal.sqrt's."""
+    spy = SqrtSpy(x)
+    assert repr(_sqrt(spy)) == repr(x.sqrt())
+    return spy.calls
+
+
+@pytest.mark.parametrize("prec", [201, 1000, 4217, 10**4])
+def test_sqrt_falls_back_only_near_a_rounding_boundary(prec):
+    # the start is one call and the fallback a second; a rounding test that
+    # always fell back would pass every equality test above and cost 2-10
+    # times as much.  The octagon's radicands: 2, 2 - sqrt(2), 5, sqrt(5)
+    # and p_y**2 = (F(n+2)/2)**2 - (F(n)/2)**2
+    with localcontext() as ctx:
+        ctx.prec = prec
+        sqrt2 = Decimal(2).sqrt()
+        for n in (40, 100_000):
+            half_inner, half_outer = Decimal(fib(n)) / 2, Decimal(fib(n + 2)) / 2
+            p_y2 = half_outer * half_outer - half_inner * half_inner
+            for x in (Decimal(2), 2 - sqrt2, Decimal(5), Decimal(5).sqrt(), p_y2):
+                assert _sqrt_calls(x) == 1, (prec, n, x)
+        # exact squares, padded with zeros or not, and an exact midpoint;
+        # 36.00 is p_y**2 at n = 4, whose root takes the ideal exponent, 6.0
+        ctx.prec = 3 * prec
+        square = sqrt2 * sqrt2
+        m = sqrt2 + Decimal((0, (5,), -prec))  # prec + 1 digits, the last a 5
+        padded = square.quantize(Decimal((0, (1,), square.as_tuple().exponent - 7)))
+        exact = (square, padded, Decimal("36.00"), m * m)
+        ctx.prec = prec
+        for x in exact:
+            assert _sqrt_calls(x) == 2, (prec, x)
 
 
 def _edge_integers(k: int) -> list[int]:
