@@ -96,10 +96,12 @@ def _in_range(i: int) -> int:
 def _locate(n: int) -> tuple[int, int, int]:
     """(i, F(i), F(i+1)) for the smallest i with F(i) >= n, for any n >= 1.
 
-    The index is estimated from n's bit length and corrected by single steps
-    along the sequence; the estimate is within a step or two of the answer.
+    The walk starts at ``_index_by_magnitude(n)``, which is within one step
+    of the answer (at every n < 20,000, at F(k) - 1, F(k) and F(k) + 1 for
+    k < 3,000, and at 20,000 random n up to 2**200,000), and corrects it by
+    single steps along the sequence.
     """
-    i = int((n.bit_length() - 0.5 + _LOG2_SQRT5) / _LOG2_PHI) - 1
+    i = _index_by_magnitude(n)
     a, b = _pair(i)
     while a < n:
         i, a, b = i + 1, b, a + b
@@ -109,15 +111,16 @@ def _locate(n: int) -> tuple[int, int, int]:
 
 
 def _index_by_magnitude(beta: int) -> int:
-    """i for a Fibonacci number beta = F(i) >= 2, from its size alone.
+    """i for a Fibonacci number beta = F(i) >= 2, from its size alone; for
+    any other beta >= 1, an estimate of the index of the next member.
 
     Binet gives F(i) = (PHI**(i+1) - psi**(i+1)) / sqrt(5) with |psi| < 1,
     so log2 F(i) + log2 sqrt(5) is (i+1)*log2 PHI up to a term that falls
     geometrically with i (0.11 of an index at i = 2, 5e-10 at i = 22).
     math.log2 reads beta's top bits, so the float error is about i * 1e-16
     of an index: the rounding is exact for every i a machine could hold.
-    It decides nothing, since a non-member gets an index too; it is asked
-    only of a certified member.
+    It decides nothing, since a non-member gets an index too: ``_locate``
+    walks from it, and callers that publish a member's index check it.
     """
     return round((math.log2(beta) + _LOG2_SQRT5) / _LOG2_PHI) - 1
 

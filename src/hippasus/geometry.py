@@ -16,13 +16,15 @@ s = sqrt(x**2 - 1); their limits are the same formula at x = phi**2,
 s = c + 1, and the distances between them come from the conjugate -1/phi.
 The ``octagon`` report takes one fast doubling and five square roots.
 
-Square roots above a couple of hundred digits run Newton's iteration on
-division instead of ``Decimal.sqrt``, whose cost grows as the square of the
-digit count, to ten digits past the target; ``_sqrt`` rounds once when
-those ten digits show no rounding boundary near, hands the rare root that
-lies near one to ``Decimal.sqrt``, and so returns the same correctly rounded
-value (``octagon_limits`` at 10**4 digits: 14 ms, against 175 ms with
-``Decimal.sqrt``, on a 2-vCPU VM with Python 3.11).
+Square roots above 64 digits run Newton's iteration on division, from a
+``Decimal.sqrt`` start of 64 digits or fewer, instead of ``Decimal.sqrt``,
+whose cost grows as the square of the digit count, to ten digits past the
+target; ``_sqrt`` rounds once when those ten digits show no rounding
+boundary near, hands the rare root that lies near one to ``Decimal.sqrt``,
+and so returns the same correctly rounded value (``octagon_limits`` at
+10**4 digits: 14 ms, against 175 ms with ``Decimal.sqrt``, on a 2-vCPU VM
+with Python 3.11).  Fibonacci operands longer than the precision are halved
+and rounded on entry by ``_halves``, not converted whole.
 """
 from __future__ import annotations
 
@@ -35,13 +37,19 @@ from .fibonacci import _as_int, _checked_make, _in_range, _pair, fib
 
 _GUARD_DIGITS = 10
 
-# At or below this precision _sqrt is Decimal.sqrt.  On a 2-vCPU VM with
-# Python 3.11, Decimal.sqrt takes 4-5 us at 60 digits, where the Newton
-# iteration takes 8 us; the two tie near 100 digits, and the iteration wins
-# from there: 11 us against 15 at 150, 8-9 us against 20-22 at 200, and
-# 10 us against 43 at 300.  Every default-size CLI call carries at most 124
-# digits and so keeps Decimal.sqrt.
-_NEWTON_DIGITS = 200
+# At or below this precision _sqrt is Decimal.sqrt; above it, Decimal.sqrt
+# at this precision or fewer starts the Newton ladder.  64 keeps every
+# default-size octagon root (60 digits) on Decimal.sqrt; from 65 to about 100
+# digits the ladder costs up to 1.6 us more, from 124 on it gains.  A larger
+# value starts the ladder higher, which loses at 300 digits.  _sqrt(2) in us,
+# best of 7 in three rounds, 2-vCPU VM, Python 3.11:
+#
+#   digits             60   66   86  100  124  150  200  300  1000
+#   Decimal.sqrt      4.4  4.5  6.9  8.2 11.2 14.3 24.1 46.5  432
+#   constant 50       5.7  6.1  6.8  6.4  7.0 10.3  8.4 10.5   32
+#   constant 64       4.2  6.1  6.8  7.6  7.0 11.4  9.2 10.4   33
+#   constant 100      4.2  4.6  7.1  8.0  8.8 10.5  8.9 12.9   33
+_DECIMAL_SQRT_DIGITS = 64
 
 _LOG10_2 = math.log10(2)
 
@@ -76,17 +84,18 @@ def _sqrt(x: Decimal) -> Decimal:
     """x.sqrt() in the current context, at the cost of a few divisions.
 
     libmpdec's square root (CPython 3.10-3.12) is quadratic in the precision:
-    24 ms at 7,500 digits, where a division takes 1.4 ms.  Above
-    _NEWTON_DIGITS this starts from Decimal.sqrt at 50 digits or fewer and
-    runs Newton's iteration y <- (y + x/y)/2, half-even, at precisions that
-    double up to the target plus ten (Brent & Zimmermann, Modern Computer
-    Arithmetic, 3.5).  An ulp at precision p is here 10**(1 - p) of the
-    value.  The start is correctly rounded, and each step at precision p
-    comes from precision p//2 + 2, so the squared error it inherits is under
-    0.1 ulp at p; the step adds four roundings of at most half an ulp: x on
-    entry and the division, each worth half as much in the sum, then the
-    addition and the halving.  y is therefore within 2 ulps of the root at
-    the target plus ten, under 20 units of its last digit.
+    24 ms at 7,500 digits, where a division takes 1.4 ms.  Up to
+    _DECIMAL_SQRT_DIGITS this is Decimal.sqrt itself.  Above, it starts from
+    Decimal.sqrt at that many digits or fewer and runs Newton's iteration
+    y <- (y + x/y)/2, half-even, at precisions that double up to the target
+    plus ten (Brent & Zimmermann, Modern Computer Arithmetic, 3.5).  An ulp
+    at precision p is here 10**(1 - p) of the value.  The start is correctly
+    rounded, and each step at precision p comes from precision p//2 + 2, so
+    the squared error it inherits is under 0.1 ulp at p; the step adds four
+    roundings of at most half an ulp: x on entry and the division, each
+    worth half as much in the sum, then the addition and the halving.  y is
+    therefore within 2 ulps of the root at the target plus ten, under 20
+    units of its last digit.
 
     Rounding y to the target then gives the correctly rounded root unless a
     rounding boundary lies that near: Ziv's rounding test (ACM TOMS 17(3),
@@ -98,13 +107,13 @@ def _sqrt(x: Decimal) -> Decimal:
     evenly spread) Decimal.sqrt decides.
     """
     prec = getcontext().prec
-    if prec <= _NEWTON_DIGITS or not x > 0:
+    if prec <= _DECIMAL_SQRT_DIGITS or not x > 0:
         return x.sqrt()
     with localcontext() as ctx:
         ctx.rounding = ROUND_HALF_EVEN
         ladder = []
         step = prec + 10
-        while step > 50:
+        while step > _DECIMAL_SQRT_DIGITS:
             ladder.append(step)
             step = step // 2 + 2  # one step takes k correct digits to about 2k
         ctx.prec = step
@@ -124,46 +133,32 @@ def _least_digits(n: int) -> int:
     return int((n.bit_length() - 1) * _LOG10_2) + 1
 
 
-def _scale(n: int) -> tuple[int, int]:
-    """(k, 10**k) for ``_to_decimal``: k = n's least digit count minus the
-    context's precision and two, so n // 10**k, and m // 10**k for every
-    m >= n, is at least two digits longer than the precision; 10**k is
-    taken as 1 for k < 1, where the conversion is whole.  At 20,899 digits
-    the power costs 0.4 ms, so values converted together share one."""
-    k = _least_digits(n) - getcontext().prec - 2
-    return k, 10**k if k > 0 else 1
+def _halves(low: int, high: int) -> tuple[Decimal, Decimal]:
+    """Decimal(low) / 2 and Decimal(high) / 2 in the current context, for
+    1 <= low <= high, each rounded once.
 
-
-def _to_decimal(n: int, scale: tuple[int, int]) -> Decimal:
-    """+Decimal(n) in the current context, for n >= 1, converting only a few
-    digits more than the precision; ``scale`` is ``_scale(m)`` for some
-    m <= n (n's own, or that of a smaller value converted with it).
-
-    Decimal(n) is quadratic in n's size: 8.4-9.0 ms at 20,899 digits.  With
-    n = q*10**k + r and q at least two digits longer than the precision,
-    10*q + (r != 0), scaled by 10**(k - 1), rounds exactly like n: it keeps
-    every digit the rounding reads, and its last, sticky digit is nonzero
-    just when a dropped digit is, which is all the rounding needs of them.
-    """
-    k, unit = scale
-    if k < 1:
-        return +Decimal(n)
-    q, r = divmod(n, unit)
-    return Decimal(10 * q + (r != 0)).scaleb(k - 1)
-
-
-def _half(n: int, scale: tuple[int, int]) -> Decimal:
-    """Decimal(n) / 2 in the current context for n >= 1, rounded once;
-    ``scale`` is ``_scale(m)`` for some m <= 5*n, n's own for one.
-
-    Past the precision, n/2 is the rounded 5*n shifted down one place, which
-    is also rounded once.  A shorter n is divided as it stands: its quotient
+    Decimal(n) is quadratic in n's size: 8.4-9.0 ms at 20,899 digits.  A
+    value no longer than the precision is divided as it stands: its quotient
     may be exact, and decimal gives an exact quotient the exponent of the
-    integer (4, not the shifted 4.0).
+    integer (4, not 4.0).  A longer n/2 is the rounded 5*n shifted down one
+    place.  With 5*n = q*10**k + r, 10*q + (r != 0) scaled by 10**(k - 2)
+    rounds exactly like n/2 while q is at least two digits longer than the
+    precision: it keeps every digit the rounding reads, and its last, sticky
+    digit is nonzero just when a dropped digit is.  k is taken from low, and
+    is 0, which drops nothing, where low is short; so both values share one
+    power of ten (0.4 ms at 20,899 digits).
     """
-    if _least_digits(n) <= getcontext().prec:
-        return Decimal(n) / 2
-    return _to_decimal(5 * n, scale).scaleb(-1)
+    prec = getcontext().prec
+    k = max(_least_digits(low) - prec - 2, 0)
+    unit = 10**k
+
+    def half(n: int) -> Decimal:
+        if _least_digits(n) <= prec:
+            return Decimal(n) / 2
+        q, r = divmod(5 * n, unit)
+        return Decimal(10 * q + (r != 0)).scaleb(k - 2)
+
+    return half(low), half(high)
 
 
 def _golden() -> Decimal:
@@ -192,12 +187,13 @@ class ConvergenceRow(namedtuple("ConvergenceRow", "n ratio error")):
 def convergence_table(n_max: int, cfg: PrecisionConfig) -> list[ConvergenceRow]:
     """Rows for n = 0..n_max: ratio F(n+1)/F(n) and error phi - ratio.
 
-    Raises PrecisionTooLow unless cfg.digits exceeds the digit count of
-    F(n_max) by more than 10, so every quotient keeps meaningful fractional
-    precision.  Row n is computed at its own precision, the guard digits
-    plus the 2*log10(F(n)) digits its subtraction cancels, and rounded once
-    to cfg.digits.  The F(n) are Decimals from the start, summed exactly,
-    so no integer is converted.
+    Raises PrecisionTooLow unless cfg.digits > log10(F(n_max)) + 10, that
+    is, unless cfg.digits is at least the digit count of F(n_max) plus 10,
+    so every quotient keeps meaningful fractional precision.  Row n is
+    computed at its own precision, the guard digits plus the 2*log10(F(n))
+    digits its subtraction cancels, and rounded once to cfg.digits.  The
+    F(n) are Decimals from the start, summed exactly, so no integer is
+    converted.
     """
     return list(_convergence_rows(n_max, cfg))
 
@@ -206,13 +202,13 @@ def _convergence_rows(n_max: int, cfg: PrecisionConfig) -> Iterator[ConvergenceR
     """convergence_table's rows, one at a time; the arguments are checked
     at the call, before the first row."""
     n_max = _as_int(n_max, "n_max", 1)
-    f_max = fib(n_max)
-    if 10 ** (cfg.digits - _GUARD_DIGITS) <= f_max:
+    max_digits = _digit_count(fib(n_max))
+    if max_digits > cfg.digits - _GUARD_DIGITS:
         raise PrecisionTooLow(
             f"digits={cfg.digits} too low for F({n_max}); "
             f"need digits > log10(F(n_max)) + {_GUARD_DIGITS}"
         )
-    return _rows(n_max, cfg.digits, _digit_count(f_max))
+    return _rows(n_max, cfg.digits, max_digits)
 
 
 def _rows(n_max: int, digits: int, max_digits: int) -> Iterator[ConvergenceRow]:
@@ -276,14 +272,13 @@ def _octagon(n: int, sqrt2: Decimal, root_2m: Decimal) -> tuple[OctagonGeometry,
     (x, s) its ratios are taken at (``_ratios``).
 
     F(n) and F(n+2) come from one fast doubling, each halved and rounded
-    once by ``_half``.  s is p_y's own root over F(n)/2: F(n)/2 * sqrt(x**2 - 1)
-    would not keep an exact root exact (n = 4, 5-12-13: 6.0, not 6.00).
+    once by ``_halves``.  s is p_y's own root over F(n)/2:
+    F(n)/2 * sqrt(x**2 - 1) would not keep an exact root exact (n = 4,
+    5-12-13: 6.0, not 6.00).
     """
     n = _as_int(n, "n", 0)
     f_n, f_n1 = _pair(_in_range(n + 2) - 2)
-    scale = _scale(f_n)
-    half_inner = _half(f_n, scale)
-    half_outer = _half(f_n + f_n1, scale)
+    half_inner, half_outer = _halves(f_n, f_n + f_n1)
     p_y = _sqrt(half_outer * half_outer - half_inner * half_inner)
     x, s = half_outer / half_inner, p_y / half_inner
     ratios = _ratios(x, s, sqrt2, root_2m)

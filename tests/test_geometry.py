@@ -1,6 +1,18 @@
+import re
 import sys
 import time
-from decimal import Decimal, localcontext
+from decimal import (
+    ROUND_05UP,
+    ROUND_CEILING,
+    ROUND_DOWN,
+    ROUND_FLOOR,
+    ROUND_HALF_DOWN,
+    ROUND_HALF_EVEN,
+    ROUND_HALF_UP,
+    ROUND_UP,
+    Decimal,
+    localcontext,
+)
 
 import mpmath
 import pytest
@@ -12,6 +24,7 @@ from hippasus.geometry import (
     OctagonGeometry,
     PrecisionConfig,
     PrecisionTooLow,
+    _convergence_rows,
     _digit_count,
     _octagon_report,
     _sqrt,
@@ -27,6 +40,13 @@ from hippasus.geometry import (
 ORACLE_LIMIT_1 = "1.00375586178770430199379428777"
 ORACLE_LIMIT_2 = "1.00187410891148081774000528039"
 ORACLE_LIMIT_3 = "1.00187823286327658148009901196"
+
+# Decimal.sqrt rounds half-even whatever the context's rounding; _sqrt runs
+# its Newton steps and the final rounding half-even in a context of its own,
+# so the caller's mode reaches neither the rounding test nor its result.
+# Every other operation rounds in the caller's mode.
+ROUNDINGS = (ROUND_HALF_EVEN, ROUND_DOWN, ROUND_UP, ROUND_CEILING, ROUND_FLOOR,
+             ROUND_HALF_UP, ROUND_HALF_DOWN, ROUND_05UP)
 
 
 def mp_decimal(x: mpmath.mpf, digits: int = 55) -> Decimal:
@@ -140,6 +160,21 @@ class TestConvergenceTable:
             convergence_table(200, PrecisionConfig(digits=20))
         # loosening the precision clears the guard
         assert len(convergence_table(200, PrecisionConfig(digits=60))) == 201
+        # digits > log10(F(n_max)) + 10 holds from len(str(F(n_max))) + 10
+        # on: one digit fewer is refused.  The rows are not built, so F(40000)
+        # (8,360 digits) costs nothing past the check
+        before = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            lengths = {n_max: len(str(fib(n_max))) for n_max in (30, 200, 4780, 40_000)}
+        finally:
+            sys.set_int_max_str_digits(before)
+        for n_max, length in lengths.items():
+            message = (f"digits={length + 9} too low for F({n_max}); "
+                       f"need digits > log10(F(n_max)) + 10")
+            with pytest.raises(PrecisionTooLow, match=f"^{re.escape(message)}$"):
+                _convergence_rows(n_max, PrecisionConfig(length + 9))
+            _convergence_rows(n_max, PrecisionConfig(length + 10))
 
     def test_requires_positive_n_max(self):
         with pytest.raises(ValueError):
@@ -292,12 +327,29 @@ class TestAgainstTheDecimalSqrtChain:
         for digits in range(15, 401):
             cfg = PrecisionConfig(digits)
             assert repr(octagon_limits(cfg)) == repr(limits_by_chain(cfg)), digits
+        # the limits and the chain both round in a copy of the caller's context
+        for rounding in ROUNDINGS:
+            for digits in (15, 50, 64, 101, 300):
+                cfg = PrecisionConfig(digits)
+                with localcontext() as ctx:
+                    ctx.rounding = rounding
+                    assert repr(octagon_limits(cfg)) == repr(limits_by_chain(cfg)), (
+                        digits, rounding)
 
     def test_octagon_on_a_sample(self):
         for digits in (15, 16, 20, 50, 101, 200):
             cfg = PrecisionConfig(digits)
             for n in [*range(400), 1000, 2047, 5000, 20_000]:
                 assert repr(octagon(n, cfg)) == repr(octagon_by_chain(n, cfg)), (n, digits)
+        # the octagon and the chain both round in a copy of the caller's context
+        for rounding in ROUNDINGS:
+            for digits in (15, 50, 101, 300):
+                cfg = PrecisionConfig(digits)
+                with localcontext() as ctx:
+                    ctx.rounding = rounding
+                    for n in (0, 1, 4, 5, 40, 119, 1000, 5000, 100_000):
+                        assert repr(octagon(n, cfg)) == repr(octagon_by_chain(n, cfg)), (
+                            n, digits, rounding)
 
     @pytest.mark.parametrize("digits", [15, 50, 1000])
     def test_operands_longer_than_the_precision(self, digits):
@@ -351,6 +403,15 @@ class TestOctagonReport:
             for n in [*range(400), 1000, 2047, 5000, 20_000]:
                 assert repr(octagon_deviations(n, cfg)) == repr(deviations_by_wide_pass(n, cfg)), (
                     n, digits)
+        # both round in a copy of the caller's context
+        for rounding in ROUNDINGS:
+            for digits in (15, 50, 300):
+                cfg = PrecisionConfig(digits)
+                with localcontext() as ctx:
+                    ctx.rounding = rounding
+                    for n in (0, 1, 4, 5, 40, 119, 1000, 5000):
+                        assert repr(octagon_deviations(n, cfg)) == repr(
+                            deviations_by_wide_pass(n, cfg)), (n, digits, rounding)
 
     def test_deviations_equal_the_wide_pass_at_a_hundred_thousand(self):
         # the wide pass carries 41,858 digits here, the conjugate 60

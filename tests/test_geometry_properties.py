@@ -1,20 +1,9 @@
 """Hypothesis properties of the golden-ratio convergence table against a
 closed form kept out of the package, so the suite does not check it against
 itself, of the octagon deviations against the wide pass, and of geometry's
-square root and integer conversion against decimal's own."""
+square root and halving of integers against decimal's own."""
 import sys
-from decimal import (
-    ROUND_05UP,
-    ROUND_CEILING,
-    ROUND_DOWN,
-    ROUND_FLOOR,
-    ROUND_HALF_DOWN,
-    ROUND_HALF_EVEN,
-    ROUND_HALF_UP,
-    ROUND_UP,
-    Decimal,
-    localcontext,
-)
+from decimal import Decimal, localcontext
 
 import pytest
 
@@ -25,21 +14,12 @@ from hippasus.fibonacci import fib  # noqa: E402
 from hippasus.geometry import (  # noqa: E402
     PrecisionConfig,
     _golden,
-    _half,
-    _scale,
+    _halves,
     _sqrt,
-    _to_decimal,
     convergence_table,
     octagon_deviations,
 )
-from test_geometry import deviations_by_wide_pass  # noqa: E402
-
-
-# Decimal.sqrt rounds half-even whatever the context's rounding; _sqrt runs
-# its Newton steps and the final rounding half-even in a context of its own,
-# so the caller's mode reaches neither the rounding test nor its result
-ROUNDINGS = (ROUND_HALF_EVEN, ROUND_DOWN, ROUND_UP, ROUND_CEILING, ROUND_FLOOR,
-             ROUND_HALF_UP, ROUND_HALF_DOWN, ROUND_05UP)
+from test_geometry import ROUNDINGS, deviations_by_wide_pass  # noqa: E402
 
 
 @st.composite
@@ -117,7 +97,7 @@ def test_deviations_by_the_conjugate_match_the_wide_pass(n, digits):
     assert all((deviation > 0) == (n % 2 == 1) for deviation in deviations)
 
 
-# --- the square root and the rounded conversion against decimal's own -------
+# --- the square root and the rounded halves against decimal's own ----------
 
 def _digits(rng, most: int) -> int:
     """An integer of 1..most digits, length and digits drawn evenly (the
@@ -163,8 +143,9 @@ def test_sqrt_is_decimal_sqrt(case, rounding):
 @pytest.mark.parametrize("rounding", ROUNDINGS)
 def test_sqrt_ties_go_to_even(rounding):
     # x = m**2 for an m of prec + 1 digits ending in 5: the root is a midpoint;
-    # a few units off m**2 at 3*prec digits, it is a hair to either side
-    for prec in (250, 1000):
+    # a few units off m**2 at 3*prec digits, it is a hair to either side.
+    # At 150 digits, between the size constant (64) and 200, a root is Newton's
+    for prec in (150, 250, 1000):
         for tail in (5, 15, 25, 95, 99995):
             with localcontext() as ctx:
                 ctx.prec = 3 * prec
@@ -193,12 +174,15 @@ def _sqrt_calls(x: Decimal) -> int:
     return spy.calls
 
 
-@pytest.mark.parametrize("prec", [201, 1000, 4217, 10**4])
+@pytest.mark.parametrize("prec", [60, 124, 201, 1000, 4217, 10**4])
 def test_sqrt_falls_back_only_near_a_rounding_boundary(prec):
     # the start is one call and the fallback a second; a rounding test that
     # always fell back would pass every equality test above and cost 2-10
-    # times as much.  The octagon's radicands: 2, 2 - sqrt(2), 5, sqrt(5)
-    # and p_y**2 = (F(n+2)/2)**2 - (F(n)/2)**2
+    # times as much.  At or below geometry's size constant, 64 digits (60:
+    # every default-size octagon root), Decimal.sqrt is the whole answer, so
+    # even an exact root takes one call; at 124 digits (phi-convergence's
+    # root) the start is the only one.  The octagon's radicands: 2,
+    # 2 - sqrt(2), 5, sqrt(5) and p_y**2 = (F(n+2)/2)**2 - (F(n)/2)**2
     with localcontext() as ctx:
         ctx.prec = prec
         sqrt2 = Decimal(2).sqrt()
@@ -216,7 +200,7 @@ def test_sqrt_falls_back_only_near_a_rounding_boundary(prec):
         exact = (square, padded, Decimal("36.00"), m * m)
         ctx.prec = prec
         for x in exact:
-            assert _sqrt_calls(x) == 2, (prec, x)
+            assert _sqrt_calls(x) == (1 if prec <= 64 else 2), (prec, x)
 
 
 def _edge_integers(k: int) -> list[int]:
@@ -236,19 +220,20 @@ def conversions(draw):
         n = draw(st.sampled_from(_edge_integers(k)))
     else:
         n = _digits(draw(st.randoms(use_true_random=True)), 3 * prec)
-    # a smaller value whose power of ten n may share, as F(n+2) shares F(n)'s
-    return prec, n, max(1, n // draw(st.integers(min_value=1, max_value=20)))
+    # a smaller value whose power of ten n shares, as F(n+2) shares F(n)'s
+    return prec, n, max(1, n // draw(st.integers(min_value=1, max_value=10**6)))
 
 
 @settings(deadline=None, max_examples=150)
-@given(conversions())
-def test_rounded_conversion_is_decimal_rounding(case):
+@given(conversions(), st.sampled_from(ROUNDINGS))
+def test_rounded_conversion_is_decimal_rounding(case, rounding):
     prec, n, smaller = case
     with localcontext() as ctx:
         ctx.prec = prec
-        for scale in (_scale(n), _scale(smaller)):
-            assert repr(_to_decimal(n, scale)) == repr(+Decimal(n))
-            assert repr(_half(n, scale)) == repr(Decimal(n) / 2)
+        ctx.rounding = rounding
+        expected = (Decimal(smaller) / 2, Decimal(n) / 2)
+        assert repr(_halves(smaller, n)) == repr(expected)
+        assert repr(_halves(n, n)) == repr((expected[1], expected[1]))
 
 
 def test_rounded_conversion_of_a_hundred_thousand_digits():
@@ -259,9 +244,11 @@ def test_rounded_conversion_of_a_hundred_thousand_digits():
         for n in [fib(478_000)] + _edge_integers(100_000)[:3]:
             exact = Decimal(n)  # 0.2 s: convert once
             for prec in (15, 60, 1000):
-                with localcontext() as ctx:
-                    ctx.prec = prec
-                    assert repr(_to_decimal(n, _scale(n))) == repr(+exact)
-                    assert repr(_half(n, _scale(n))) == repr(exact / 2)
+                for rounding in ROUNDINGS:
+                    with localcontext() as ctx:
+                        ctx.prec = prec
+                        ctx.rounding = rounding
+                        expected = (exact / 2, exact / 2)
+                        assert repr(_halves(n, n)) == repr(expected), (prec, rounding)
     finally:
         sys.set_int_max_str_digits(before)
