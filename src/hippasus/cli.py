@@ -184,8 +184,8 @@ def _verify_convergence(bound: int) -> int:
 
 # suite name -> (runner, default bound, ceiling).  _cmd_verify refuses a
 # bound above the ceiling before the run starts.  Each ceiling is set by
-# time, on a 2-vCPU VM (Python 3.11): equivalence costs 1.6-3.3 us a beta,
-# 15-28 minutes at its ceiling; cassini's walk grows 5-8 times per doubling
+# time, on a 2-vCPU VM (Python 3.11): equivalence costs 0.7-1.3 us a beta,
+# 6-11 minutes at its ceiling; cassini's walk grows 5-8 times per doubling
 # of the bound (1.5 s at 20,000, 8-10 s at 40,000, 51-64 s at 80,000, 340 s
 # at its ceiling); convergence's about 7 times (1.3 s at 10,000, 9.9 s at
 # 20,000, 81 s at 40,000).  The descent decides parity at once for every

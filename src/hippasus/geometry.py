@@ -178,7 +178,9 @@ def phi(cfg: PrecisionConfig) -> Decimal:
 class ConvergenceRow(namedtuple("ConvergenceRow", "n ratio error")):
     """One quotient F(n+1)/F(n) and its signed distance below/above the limit.
 
-    error = phi - ratio alternates in sign and shrinks with n.
+    error = phi - ratio alternates in sign and shrinks with n.  The package
+    builds this record and ``OctagonGeometry`` by ``tuple.__new__``, past
+    the generated ``__new__``, as ``descent.successors`` builds its own.
     """
 
     __slots__ = ()
@@ -229,7 +231,7 @@ def _rows(n_max: int, digits: int, max_digits: int) -> Iterator[ConvergenceRow]:
         ctx.prec = base + 2 * (a.adjusted() + 1)
         ratio = ctx.divide(b, a)
         error = ctx.subtract(golden, ratio)  # rounded once, at the row's precision
-        yield ConvergenceRow(n, out.plus(ratio), out.plus(error))
+        yield tuple.__new__(ConvergenceRow, (n, out.plus(ratio), out.plus(error)))
         a, b = b, ctx.add(a, b)  # exact: F(n+2) is much shorter than the precision
 
 
@@ -283,7 +285,8 @@ def _octagon(n: int, sqrt2: Decimal, root_2m: Decimal) -> tuple[OctagonGeometry,
     x, s = half_outer / half_inner, p_y / half_inner
     ratios = _ratios(x, s, sqrt2, root_2m)
     d, e = sqrt2 * (p_y - half_inner), half_outer * root_2m  # e = 2R*sin(pi/8), 2R = F(n+2)
-    return OctagonGeometry(n, (half_inner, p_y), (p_y, half_inner), d, e, *ratios), x, s
+    geo = tuple.__new__(OctagonGeometry, (n, (half_inner, p_y), (p_y, half_inner), d, e, *ratios))
+    return geo, x, s
 
 
 def _ratios(x: Decimal, s: Decimal, sqrt2: Decimal, root_2m: Decimal) -> tuple[Decimal, ...]:
@@ -296,7 +299,7 @@ def _ratios(x: Decimal, s: Decimal, sqrt2: Decimal, root_2m: Decimal) -> tuple[D
 def _rounded(geo: OctagonGeometry) -> OctagonGeometry:
     """geo with every value rounded to the current context."""
     p = (+geo.p[0], +geo.p[1])
-    return OctagonGeometry(geo.n, p, (p[1], p[0]), *(+value for value in geo[3:]))
+    return tuple.__new__(OctagonGeometry, (geo.n, p, (p[1], p[0]), *(+value for value in geo[3:])))
 
 
 def octagon_limits(cfg: PrecisionConfig) -> tuple[Decimal, Decimal, Decimal]:

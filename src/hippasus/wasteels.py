@@ -18,7 +18,8 @@ class WasteelsVerdict(namedtuple("WasteelsVerdict", "x y residual consecutive in
     """Outcome of the consecutive-Fibonacci test for an ordered pair (x, y).
 
     ``indices`` is the pair (i, i+1) with fib(i) = x and fib(i+1) = y,
-    present exactly when ``consecutive`` is true.
+    present exactly when ``consecutive`` is true.  ``classify`` builds it
+    by ``tuple.__new__``, as ``descent.successors`` builds its records.
     """
 
     __slots__ = ()
@@ -37,13 +38,13 @@ def classify(x: int, y: int) -> WasteelsVerdict:
         x, y = _as_int(x, "x", 1), _as_int(y, "y", 1)
     residual = y * (y - x) - x * x  # as in wasteels_residual
     if x > y or (residual != 1 and residual != -1):
-        return WasteelsVerdict(x, y, residual, False, None)
+        return tuple.__new__(WasteelsVerdict, (x, y, residual, False, None))
     if x == 1:
         indices = (0, 1) if y == 1 else (1, 2)
     else:
         i = _index_by_magnitude(x)
         indices = (i, i + 1)
-    return WasteelsVerdict(x, y, residual, True, indices)
+    return tuple.__new__(WasteelsVerdict, (x, y, residual, True, indices))
 
 
 __all__ = ["wasteels_residual", "classify", "WasteelsVerdict", "is_consecutive_fib"]

@@ -553,7 +553,34 @@ class TestJump:
         assert descend(121_393) == DescentTrace(121_393, 25)
 
 
+def sieve_rejects_by_loop(n: int) -> bool:
+    """Oracle: the sieve as a loop over ``fibonacci._SIEVE``, in its order."""
+    r = n % fibonacci._SIEVE_PRODUCT
+    for m, residues in fibonacci._SIEVE:
+        if r % m not in residues:
+            return True
+    return False
+
+
 class TestSieve:
+    def test_expression_is_the_loop_on_every_n_to_two_million(self):
+        rejects = fibonacci._sieve_rejects
+        disagree = [n for n in range(1, 2 * 10**6 + 1) if rejects(n) != sieve_rejects_by_loop(n)]
+        assert disagree == []
+
+    def test_expression_is_the_loop_near_fibonacci_numbers(self):
+        a, b = 1, 1  # F(k), F(k+1)
+        for k in range(3000):
+            for n in range(max(a - 2, 1), a + 3):
+                assert fibonacci._sieve_rejects(n) == sieve_rejects_by_loop(n), (k, n - a)
+            a, b = b, a + b
+
+    def test_expression_is_the_loop_on_large_random_values(self):
+        rng = random.Random(25)
+        for k in range(10**4):
+            n = rng.getrandbits(70_000)
+            assert fibonacci._sieve_rejects(n) == sieve_rejects_by_loop(n), k
+
     def test_admits_every_fibonacci_residue(self):
         for m, residues in fibonacci._SIEVE:
             assert residues == pisano_residues(m), m

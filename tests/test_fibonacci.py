@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from hippasus import fibonacci
 from hippasus.fibonacci import (
     MAX_INDEX,
     _index_by_magnitude,
@@ -161,7 +162,8 @@ class TestFibIndexOf:
             assert fib_index_of(value) == i
 
     def test_locate_matches_walk_through_the_table(self):
-        # the bit-length estimate and its single steps, from n = 1 to F(2050) + 1
+        # the magnitude estimate and its single steps, from n = 1 to F(2050) + 1:
+        # its start is read from the table up to F(2047) and doubled past it
         values = [fib_by_addition(i + 1) for i in range(2051)]
         targets = [v + d for v in values for d in (-1, 0, 1) if v + d >= 1]
         walk = first_index_at_least(targets)
@@ -278,6 +280,21 @@ class TestCassini:
     def test_alternating_identity(self):
         for i in range(0, 301):
             assert cassini_residual(i) == (-1) ** i
+
+    def test_one_pair_a_call_across_the_table_edge(self, monkeypatch):
+        # the table ends at F(2047); one _pair call gives both values on
+        # either side of it
+        calls = []
+
+        def spy(i):
+            calls.append(i)
+            return _pair(i)
+
+        monkeypatch.setattr(fibonacci, "_pair", spy)
+        for i in [*range(2040, 2061), 10**5]:
+            calls.clear()
+            assert cassini_residual(i) == (-1) ** i, i
+            assert calls == [i], i
 
     def test_refuses_past_the_range_before_any_fib(self):
         # F(i + 2) lies past MAX_INDEX: refused before a fast doubling runs

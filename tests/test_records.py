@@ -4,6 +4,7 @@ the four that validate are shown to validate on ``_replace`` and ``_make``
 as they do on construction."""
 import copy
 import pickle
+import sys
 
 import pytest
 
@@ -19,9 +20,11 @@ from hippasus import (
     classify,
     convergence_table,
     descend,
+    fib,
     octagon,
     successors,
 )
+from hippasus.geometry import ConvergenceRow, OctagonGeometry
 
 CFG = PrecisionConfig(20)
 
@@ -180,3 +183,63 @@ def test_a_record_is_a_tuple():
     assert descend(13) == (13, 6)
     assert PrecisionConfig() == (50,)
     assert PrecisionConfig(20) < PrecisionConfig(21)
+
+
+# The package builds SuccessorSet, WasteelsVerdict, ConvergenceRow and
+# OctagonGeometry by tuple.__new__, past their generated __new__: each must
+# be the record its public constructor makes.
+
+
+def assert_is_the_record(value, expected):
+    assert type(value) is type(expected)
+    assert value == expected
+    assert hash(value) == hash(expected)
+    assert repr(value) == repr(expected)
+    assert bool(value) == bool(expected)
+
+
+def test_successor_sets_are_the_records():
+    expected = dict.fromkeys(range(1, 10**4 + 1), ())
+    expected[1] = (1, 2)
+    a, b = 2, 3  # F(2), F(3): every member past 1 has its follower alone
+    while a <= 10**4:
+        expected[a] = (b,)
+        a, b = b, a + b
+    for beta, found in expected.items():
+        assert_is_the_record(successors(beta), SuccessorSet(beta, found))
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # repr of F(10**5)'s 20,899 digits
+    try:
+        for k in (2046, 2047, 2048, 10**5):  # both sides of the table's end
+            beta = fib(k)
+            assert_is_the_record(successors(beta), SuccessorSet(beta, (fib(k + 1),)))
+            assert_is_the_record(successors(beta + 1), SuccessorSet(beta + 1, ()))
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
+def test_wasteels_verdicts_are_the_records():
+    indices = {(1, 1): (0, 1)}
+    i, a, b = 1, 1, 2  # F(i), F(i+1)
+    while a <= 200:
+        indices[a, b] = (i, i + 1)
+        i, a, b = i + 1, b, a + b
+    for x in range(1, 201):
+        for y in range(1, 201):
+            found = indices.get((x, y))
+            residual = y * y - x * y - x * x
+            expected = WasteelsVerdict(x, y, residual, found is not None, found)
+            assert_is_the_record(classify(x, y), expected)
+
+
+def test_convergence_rows_are_the_records():
+    rows = convergence_table(300, PrecisionConfig(80))
+    assert [row.n for row in rows] == list(range(301))
+    for row in rows:
+        assert_is_the_record(row, ConvergenceRow(row.n, row.ratio, row.error))
+
+
+def test_octagon_geometry_is_the_record():
+    geo = octagon(40, PrecisionConfig(50))
+    assert geo.n == 40 and geo.q == geo.p[::-1]
+    assert_is_the_record(geo, OctagonGeometry(*geo))
