@@ -1,14 +1,15 @@
 """Table of Hippasus pairs and its aligned / CSV / JSON renderings."""
 from __future__ import annotations
 
-import io
 from collections import namedtuple
 from functools import partial
+from operator import attrgetter
 
 from .descent import HippasusPair
 from .fibonacci import _as_int, _checked_make
 
 _CSV_FIELDS = ("beta", "alpha", "sum", "product", "sign", "alpha_squared")
+_values = attrgetter(*_CSV_FIELDS)  # a row's CSV / JSON fields, in that order
 
 
 class TableRow(namedtuple("TableRow", "beta alpha sum sign alpha_squared")):
@@ -65,33 +66,26 @@ def build_rows(max_beta: int) -> list[TableRow]:
 
 
 def render_aligned(rows: list[TableRow]) -> str:
-    headers = ("beta", "alpha", "sum", "product", "alpha_squared")
-    cells = [
+    lines = [("beta", "alpha", "sum", "product", "alpha_squared")]
+    lines += [
         (str(r.beta), str(r.alpha), str(r.sum), r.annotation, str(r.alpha_squared))
         for r in rows
     ]
-    widths = [
-        max(len(headers[c]), *(len(row[c]) for row in cells)) if cells else len(headers[c])
-        for c in range(len(headers))
-    ]
-    lines = ["  ".join(h.rjust(w) for h, w in zip(headers, widths))]
-    for row in cells:
-        lines.append("  ".join(v.rjust(w) for v, w in zip(row, widths)))
-    return "\n".join(lines) + "\n"
+    widths = [max(map(len, column)) for column in zip(*lines)]
+    # the empty last item ends the last line, with no copy of the whole text
+    return "\n".join([*("  ".join(map(str.rjust, line, widths)) for line in lines), ""])
 
 
 def render_csv(rows: list[TableRow]) -> str:
-    import csv  # here, not at the top: every CLI call imports this module
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_CSV_FIELDS)
-    writer.writerows([getattr(r, field) for field in _CSV_FIELDS] for r in rows)
-    return buf.getvalue()
+    # every field is an int, so no cell needs quoting
+    lines = [",".join(_CSV_FIELDS)]
+    lines += [",".join(map(str, _values(r))) for r in rows]
+    return "\n".join([*lines, ""])
 
 
 def render_json(rows: list[TableRow]) -> str:
-    import json
-    payload = [{field: getattr(r, field) for field in _CSV_FIELDS} for r in rows]
+    import json  # here, not at the top: every CLI call imports this module
+    payload = [dict(zip(_CSV_FIELDS, _values(r))) for r in rows]
     return json.dumps(payload, indent=2) + "\n"
 
 
@@ -100,6 +94,16 @@ FORMATS = tuple(_RENDERERS)
 
 
 def render(rows: list[TableRow], fmt: str) -> str:
+    """The rows as text in ``fmt``, one of FORMATS; every line ends in a newline.
+
+    Each value is written in full by int -> str, which the interpreter limits
+    to 4,300 digits by default (``sys.int_info.default_max_str_digits``).
+    Past about beta = 10**2150, where alpha_squared passes that limit, this
+    and each ``render_*`` raise ValueError, and ``main(["table", ...])``
+    called in-process returns 2.  Only the console entry point, ``entry()``,
+    lifts the limit, for its own process; the library leaves it alone, since
+    it is process-wide.  A caller lifts it with ``sys.set_int_max_str_digits(0)``.
+    """
     if fmt not in _RENDERERS:
         raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
     return _RENDERERS[fmt](rows)

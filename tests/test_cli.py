@@ -506,15 +506,49 @@ def test_manifest_replays_byte_identical_in_process(monkeypatch):
     assert not mismatches
 
 
+def test_write_manifest_refuses_when_hippasus_does_not_import(tmp_path):
+    # a copy of this file and of the manifest, run with a hippasus on
+    # PYTHONPATH whose import raises: the writer must exit non-zero and leave
+    # the manifest's bytes alone
+    (tmp_path / "golden").mkdir()
+    (tmp_path / "test_cli.py").write_bytes(Path(__file__).read_bytes())
+    manifest = tmp_path / "golden" / MANIFEST.name
+    manifest.write_bytes(MANIFEST.read_bytes())
+    stub = tmp_path / "stub" / "hippasus"
+    stub.mkdir(parents=True)
+    (stub / "__init__.py").write_text("raise ImportError('hippasus stub: import fails')\n")
+    run = subprocess.run(
+        [sys.executable, str(tmp_path / "test_cli.py"), "--write-manifest"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(stub.parent)},
+        timeout=60,
+    )
+    assert run.returncode != 0
+    assert "`import hippasus` fails" in run.stderr
+    assert "hippasus stub: import fails" in run.stderr
+    assert manifest.read_bytes() == MANIFEST.read_bytes()
+
+
 def write_manifest() -> None:
-    """Rerun the argv column of the manifest as subprocesses and rewrite the rest."""
+    """Rerun the argv column of the manifest as subprocesses and rewrite the rest.
+
+    Exits non-zero, leaving the file as it is, when the children cannot
+    import hippasus: every line would record that failure instead.
+    """
+    env = {**os.environ, "COLUMNS": "80"}
+    probe = subprocess.run([sys.executable, "-c", "import hippasus"],
+                           capture_output=True, text=True, env=env)
+    if probe.returncode != 0:
+        sys.exit(f"--write-manifest: `import hippasus` fails in the child processes, so "
+                 f"{MANIFEST} is left as it is (run with PYTHONPATH=src):\n{probe.stderr}")
     lines = ["# argv\texit\tsha256(stdout)\tsha256(stderr); "
              "F(n) and b**e, optionally +d or -d, stand for that integer"]
     for text, *_ in manifest_calls():
         run = subprocess.run(
             [sys.executable, "-m", "hippasus", *(expand(t) for t in text.split())],
             capture_output=True,
-            env={**os.environ, "COLUMNS": "80"},
+            env=env,
         )
         lines.append("\t".join([text, str(run.returncode), _sha256(run.stdout), _sha256(run.stderr)]))
     MANIFEST.write_text("\n".join(lines) + "\n")

@@ -257,7 +257,8 @@ class TestIntegerBoundary:
 def test_import_does_not_load_numpy():
     # -S: without site, nothing but hippasus itself can load these modules;
     # typing alone costs 5-8 ms of every CLI call's start-up, and dataclasses
-    # (which loads inspect) more; csv and json only the table renderers need
+    # (which loads inspect) more; the package never needs csv, and json only
+    # the JSON table rendering
     modules = "{'numpy', 'typing', 'dataclasses', 'inspect', 'csv', 'json'}"
     code = f"import sys, hippasus.cli; print(*sorted({modules} & set(sys.modules)))"
     src = str(Path(__file__).resolve().parent.parent / "src")

@@ -1,14 +1,18 @@
 import csv
 import io
 import json
+import sys
 import time
+from itertools import zip_longest
 from pathlib import Path
 
 import pytest
 
 from hippasus import table
 from hippasus.descent import HippasusPair, extend, successors
-from hippasus.table import TableRow, build_rows, render, render_aligned, render_csv, render_json
+from hippasus.table import (
+    FORMATS, TableRow, build_rows, render, render_aligned, render_csv, render_json,
+)
 
 GOLDEN = Path(__file__).parent / "golden" / "table_max_beta_1000.txt"
 
@@ -55,6 +59,55 @@ def rows_by_validated_walk(max_beta: int) -> list[TableRow]:
         rows.append(TableRow(beta, alpha, beta + alpha, pair.sign, alpha * alpha))
         pair = extend(pair)
     return rows
+
+
+FIELDS = ("beta", "alpha", "sum", "product", "sign", "alpha_squared")
+
+
+def aligned_by_cells(rows: list[TableRow]) -> str:
+    """Reference: every cell as a string, each width from the header and
+    every row's cell, then a second list of the padded lines."""
+    headers = ("beta", "alpha", "sum", "product", "alpha_squared")
+    cells = [
+        (str(r.beta), str(r.alpha), str(r.sum), r.annotation, str(r.alpha_squared))
+        for r in rows
+    ]
+    widths = [
+        max(len(headers[c]), *(len(row[c]) for row in cells)) if cells else len(headers[c])
+        for c in range(len(headers))
+    ]
+    lines = ["  ".join(h.rjust(w) for h, w in zip(headers, widths))]
+    for row in cells:
+        lines.append("  ".join(v.rjust(w) for v, w in zip(row, widths)))
+    return "\n".join(lines) + "\n"
+
+
+def csv_by_writer(rows: list[TableRow]) -> str:
+    """Reference: the standard library's csv.writer into a StringIO."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(FIELDS)
+    writer.writerows([getattr(r, field) for field in FIELDS] for r in rows)
+    return buf.getvalue()
+
+
+def json_by_getattr(rows: list[TableRow]) -> str:
+    """Reference: one dict of the fields, by name, for each row."""
+    payload = [{field: getattr(r, field) for field in FIELDS} for r in rows]
+    return json.dumps(payload, indent=2) + "\n"
+
+
+ORACLES = {"aligned": aligned_by_cells, "csv": csv_by_writer, "json": json_by_getattr}
+
+
+def first_difference(got: str, expected: str) -> tuple[int, str, str] | None:
+    """None if the texts are equal, else the first differing line's number
+    and both lines, cut to 200 characters: pytest's own diff of two
+    megabyte texts takes minutes."""
+    if got == expected:
+        return None
+    pairs = zip_longest(got.splitlines(True), expected.splitlines(True), fillvalue="")
+    return next((k, a[:200], b[:200]) for k, (a, b) in enumerate(pairs) if a != b)
 
 
 @pytest.fixture(scope="module")
@@ -146,6 +199,57 @@ def test_csv_and_json_information_equivalent():
     assert parsed_json[4] == {
         "beta": 5, "alpha": 8, "sum": 13, "product": 65, "sign": 1, "alpha_squared": 64,
     }
+
+
+def numpy_row() -> list[TableRow]:
+    np = pytest.importorskip("numpy")
+    return [TableRow(*(np.int64(v) for v in (2, 3, 5, 1, 9)))]
+
+
+# the reversed table puts its widest cells first, so widths taken from the
+# last row alone would fail it
+RENDER_CASES = {
+    "1": lambda: build_rows(1),
+    "1000": lambda: build_rows(1000),
+    "10**300": lambda: build_rows(10**300),
+    "empty": list,
+    "numpy": numpy_row,
+    "reversed": lambda: build_rows(10**300)[::-1],
+}
+RENDERERS = {"aligned": render_aligned, "csv": render_csv, "json": render_json}
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("case", RENDER_CASES)
+def test_render_matches_oracle(case, fmt):
+    rows = RENDER_CASES[case]()
+    expected = ORACLES[fmt](rows)
+    assert first_difference(RENDERERS[fmt](rows), expected) is None
+    assert first_difference(render(rows, fmt), expected) is None
+
+
+@pytest.fixture(scope="module")
+def rows_at_the_digit_limit():
+    # alpha_squared of 4,296 to 4,305 digits: both sides of the interpreter's
+    # default int->str limit of 4,300 digits, reached near beta = 10**2150
+    rows = [r for r in build_rows(10**2200) if 10**4295 <= r.alpha_squared < 10**4305]
+    assert len(rows) > 20
+    return rows
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_render_past_the_int_str_limit(fmt, rows_at_the_digit_limit):
+    # the library never lifts the limit, which is process-wide; the caller
+    # does, as the console entry point does for its own process
+    rows, before = rows_at_the_digit_limit, sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)
+        with pytest.raises(ValueError, match="Exceeds the limit"):
+            render(rows, fmt)
+        sys.set_int_max_str_digits(0)
+        assert first_difference(render(rows, fmt), ORACLES[fmt](rows)) is None
+    finally:
+        sys.set_int_max_str_digits(before)
 
 
 def test_render_dispatch():
