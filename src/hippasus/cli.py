@@ -122,13 +122,19 @@ def _cmd_phi_convergence(args: argparse.Namespace) -> int:
 
 
 def _verify_cassini(bound: int) -> int:
-    a, b = 1, 1  # (F(i), F(i+1)) by addition, not cassini_residual's doublings
+    # F(i+1), F(i+2) by addition, not cassini_residual's doublings, and each
+    # F(k) squared once: F(i+2) = F(i) + F(i+1) makes the residual
+    # F(i)*F(i+2) - F(i+1)**2 equal to (F(i)**2 + F(i+2)**2 - 3*F(i+1)**2)/2
+    b, c = 1, 2  # F(i+1), F(i+2) at i = 0
+    square_a, square_b = 1, 1  # F(i)**2, F(i+1)**2
     for i in range(bound + 1):
         expected = 1 if i % 2 == 0 else -1
-        got, a, b = a * (a + b) - b * b, b, a + b
-        if got != expected:
-            print(f"verify cassini: FAIL at i={i}: residual {got}, expected {expected}")
+        square_c = c * c
+        twice = square_a + square_c - 3 * square_b
+        if twice != 2 * expected:
+            print(f"verify cassini: FAIL at i={i}: residual {twice}/2, expected {expected}")
             return 1
+        b, c, square_a, square_b = c, b + c, square_b, square_c
     print(f"verify cassini: pass (i in 0..{bound})")
     return 0
 
@@ -185,9 +191,9 @@ def _verify_convergence(bound: int) -> int:
 # suite name -> (runner, default bound, ceiling).  _cmd_verify refuses a
 # bound above the ceiling before the run starts.  Each ceiling is set by
 # time, on a 2-vCPU VM (Python 3.11): equivalence costs 0.7-1.3 us a beta,
-# 6-11 minutes at its ceiling; cassini's walk grows 5-8 times per doubling
-# of the bound (1.5 s at 20,000, 8-10 s at 40,000, 51-64 s at 80,000, 340 s
-# at its ceiling); convergence's about 7 times (1.3 s at 10,000, 9.9 s at
+# 6-11 minutes at its ceiling; cassini's walk grows about 6 times per
+# doubling of the bound (0.5 s at 20,000, 3.1 s at 40,000, 19 s at 80,000,
+# 119 s at its ceiling); convergence's about 7 times (1.3 s at 10,000, 9.9 s at
 # 20,000, 81 s at 40,000).  The descent decides parity at once for every
 # bound, so it has no ceiling.
 VERIFY_SUITES = {

@@ -136,7 +136,9 @@ def _certified_trace(beta: int, i: int) -> DescentTrace:
     a lookup that found the right values under a wrong i raises RuntimeError.
     """
     if i != (0 if beta == 1 else _index_by_magnitude(beta)):
-        raise RuntimeError(f"index lookup gave {i} for {beta}, whose magnitude disagrees")
+        raise RuntimeError(
+            f"index lookup gave {i} for a beta of {beta.bit_length()} bits, whose magnitude disagrees"
+        )
     return tuple.__new__(DescentTrace, (beta, i))
 
 

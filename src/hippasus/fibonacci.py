@@ -22,6 +22,10 @@ def _by_addition(count: int) -> tuple[int, ...]:
 # F(0..2047), built at import in about 1 ms and 0.25 MB (10^4 entries would
 # cost every process 8 ms and 5 MB); fib doubles above it.
 _TABLE = _by_addition(2048)
+_TABLE_TOP = _TABLE[-1]
+
+# _decide's guard on a doubled pair reads its norm modulo this prime
+_MERSENNE_61 = 2**61 - 1
 
 # F(i) ~ PHI**(i+1) / sqrt(5), so log2 F(i) ~ (i+1)*_LOG2_PHI - _LOG2_SQRT5
 _LOG2_PHI = math.log2((1 + math.sqrt(5)) / 2)
@@ -61,12 +65,41 @@ def _pair(i: int) -> tuple[int, int]:
     the recurrence of GMP's mpz_fib2_ui, a form of the doubling identities
     in Knuth, TAOCP vol. 2, 4.6.3.  CPython squares faster than it
     multiplies, and the classic step takes a product and two squarings.
+    ``_halfway`` runs every bit but the last, ``_last_step`` the last.
     """
     if i + 1 < len(_TABLE):
         return _TABLE[i], _TABLE[i + 1]
+    a, b, sign = _halfway(i + 1)
+    return _last_step(a * a, b * b, sign, i + 1)
+
+
+def _certified_pair(i: int) -> tuple[int, int]:
+    """``_pair(i)``, with the input of the doubling's last step checked at
+    the cost of one half-size squaring; ``_decide`` rests on it.
+
+    The last step takes (a, b) = (G(k-1), G(k)) with 2*(-1)**k = -2*eps,
+    where eps = b**2 - a*b - a**2.  This checks (2b - a)**2 - 5*a**2 = 4*eps,
+    reusing a**2, and raises RuntimeError if it fails.  Once it holds, the
+    step's output, read as u + v*phi in Z[phi], is (a + b*phi)**2 or that
+    times phi, and a + b*phi has norm a**2 + a*b - b**2 = -eps = +/-1; the
+    norm is multiplicative, so the output pair has norm +/-1 too, whatever
+    the earlier steps computed.
+    """
+    if i + 1 < len(_TABLE):
+        return _TABLE[i], _TABLE[i + 1]
+    a, b, sign = _halfway(i + 1)
+    aa = a * a
+    if (2 * b - a) ** 2 - 5 * aa != -2 * sign:
+        raise RuntimeError(f"the doubling to F({i}) met a pair whose norm does not certify it")
+    return _last_step(aa, b * b, sign, i + 1)
+
+
+def _halfway(m: int) -> tuple[int, int, int]:
+    """(G(k-1), G(k), 2*(-1)**k) for k = m // 2: ``_pair``'s doubling over
+    every bit of m >= 1 but the last."""
     a, b = 1, 0  # G(k-1), G(k) at k = 0
     sign = 2  # 2*(-1)**k
-    for bit in bin(i + 1)[2:]:
+    for bit in bin(m)[2:-1]:
         aa, bb = a * a, b * b
         low = aa + bb  # G(2k-1)
         high = 4 * bb - aa + sign  # G(2k+1)
@@ -74,7 +107,14 @@ def _pair(i: int) -> tuple[int, int]:
             a, b, sign = high - low, high, -2
         else:
             a, b, sign = low, high - low, 2
-    return b, a + b
+    return a, b, sign
+
+
+def _last_step(aa: int, bb: int, sign: int, m: int) -> tuple[int, int]:
+    """(G(m), G(m+1)) from G(k-1)**2, G(k)**2 and 2*(-1)**k, k = m // 2:
+    the doubling's last step, by the formulas of its loop."""
+    low, high = aa + bb, 4 * bb - aa + sign  # G(2k-1), G(2k+1)
+    return (high, 2 * high - low) if m & 1 else (high - low, high)
 
 
 def fib(i: int) -> int:
@@ -105,7 +145,7 @@ def _locate(n: int) -> tuple[int, int, int]:
     single steps along the sequence.
     """
     i = _index_by_magnitude(n)
-    a, b = _pair(i)
+    a, b = _certified_pair(i)
     while a < n:
         i, a, b = i + 1, b, a + b
     while b - a >= n:  # F(i-1) = F(i+1) - F(i)
@@ -163,14 +203,25 @@ def _decide(beta: int) -> tuple[int, int] | None:
 
     beta = 1 is F(0), below every bracket.  Otherwise a residue that no
     Fibonacci number has is a "no"; else the lookup brackets beta by
-    low = F(i-1) < beta <= F(i) = high.  A +/-1 residual makes (low, high)
-    consecutive Fibonacci numbers, with none strictly between, so beta is a
-    member iff beta = high; the step up gives (high, F(i+1)) the opposite
-    residual, so it certifies the "yes" too.  The residual is read from the
-    identity (2b - a)**2 - 5*a**2 = 4*(b**2 - a*b - a**2), two squarings in
-    place of a product and a square.  A failed check raises RuntimeError.
-    The certificate covers the values, not i: callers that publish i check
-    it against ``_index_by_magnitude``.
+    low = F(i-1) < beta <= F(i) = high.  A pair 0 < low < high whose norm
+    N = high**2 - low*high - low**2 is +/-1 is a pair of consecutive
+    Fibonacci numbers, with none strictly between, so beta is a member iff
+    beta = high; the step up gives (high, F(i+1)) the opposite norm, so it
+    certifies the "yes" too.  The certificate covers the values, not i:
+    callers that publish i check it against ``_index_by_magnitude``.
+
+    Where the pair was doubled, past the table, its norm is +/-1 by proof,
+    not by the full-size check 4*N = (2*high - low)**2 - 5*low**2, which
+    would cost two squarings of the answer's size (63 of 93 ms at F(10**6)):
+    ``_certified_pair`` checks the input of the doubling's last step at half
+    size, norms multiply, and ``_locate``'s single steps by addition keep
+    |N| = 1.  What the proof assumes is that those few lines compute what
+    they say; a bug anywhere in them, or a lookup that returns other values,
+    would still pass it.  So 4*N is also read modulo the Mersenne prime
+    2**61 - 1, in O(n): a wrong pair passes that guard only if its 4*N is
+    congruent to +/-4, which a fault has no reason to arrange.  Inside the
+    table the exact 4*N costs less than the reductions and is kept.  A
+    failed check raises RuntimeError.
     """
     if beta == 1:
         return 0, 1
@@ -178,8 +229,16 @@ def _decide(beta: int) -> tuple[int, int] | None:
         return None
     i, high, alpha = _locate(beta)
     low = alpha - high
-    if not (0 < low < beta <= high and (2 * high - low) ** 2 - 5 * (low * low) in (4, -4)):
-        raise RuntimeError(f"index lookup gave ({low}, {high}), which does not certify {beta}")
+    if high > _TABLE_TOP:
+        low_p, high_p = low % _MERSENNE_61, high % _MERSENNE_61
+        norm4 = (2 * high_p - low_p) ** 2 - 5 * (low_p * low_p)
+        unit = norm4 % _MERSENNE_61 in (4, _MERSENNE_61 - 4)
+    else:
+        unit = (2 * high - low) ** 2 - 5 * (low * low) in (4, -4)
+    if not (0 < low < beta <= high and unit):
+        # sizes, not values: str() of a value past 4,300 digits would raise
+        raise RuntimeError(f"index lookup gave a pair at index {i} that does not certify"
+                           f" beta ({beta.bit_length()} bits)")
     return (i, alpha) if beta == high else None
 
 

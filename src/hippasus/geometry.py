@@ -12,9 +12,14 @@ cancels, about 2*log10(F(n)).  Precision travels explicitly in a
 PrecisionConfig value; no global decimal state is touched.
 
 The octagon's three ratios are one formula in x = F(n+2)/F(n) and
-s = sqrt(x**2 - 1); their limits are the same formula at x = phi**2,
-s = c + 1, and the distances between them come from the conjugate -1/phi.
-The ``octagon`` report takes one fast doubling and five square roots.
+s = sqrt(x**2 - 1), two products and a division; their limits are the same
+formula at x = phi**2 = phi + 1 and s = sqrt(phi**4 - 1) = sqrt(3*phi + 1),
+which phi**2 = phi + 1 gives with no product, and the distances between
+them come from the conjugate -1/phi.  F(n)/2 and F(n+2)/2 come from one
+fast doubling, or, where F(n) is far longer than the guard digits, from
+Binet's formula at a few digits more, rounded only where Ziv's test
+vouches for it.  The ``octagon`` report takes one fast doubling and five
+square roots, or past that switch no doubling and six.
 
 Square roots above 64 digits run Newton's iteration on division, from a
 ``Decimal.sqrt`` start of 64 digits or fewer, instead of ``Decimal.sqrt``,
@@ -33,7 +38,7 @@ from collections import namedtuple
 from collections.abc import Iterator
 from decimal import ROUND_HALF_EVEN, Decimal, getcontext, localcontext
 
-from .fibonacci import _as_int, _checked_make, _in_range, _pair, fib
+from .fibonacci import _TABLE, _as_int, _checked_make, _in_range, _pair, fib
 
 _GUARD_DIGITS = 10
 
@@ -52,6 +57,13 @@ _GUARD_DIGITS = 10
 _DECIMAL_SQRT_DIGITS = 64
 
 _LOG10_2 = math.log10(2)
+
+# The octagon takes F(n)/2 and F(n+2)/2 from Binet's formula (_binet_halves)
+# where n > _BINET_FACTOR * (digits + 10) and n > len(_TABLE), fib's table,
+# else from _pair.  Both sides cost the same near the factor: 50 to 55 at 50 and
+# 1,000 digits, about 40 at 100 and 200 (us a call, best of 5, 2-vCPU VM,
+# Python 3.11).  In the table the exact halves cost 2-5 us, Binet's 8 or more.
+_BINET_FACTOR = 50
 
 
 class PrecisionTooLow(ValueError):
@@ -121,11 +133,21 @@ def _sqrt(x: Decimal) -> Decimal:
         for step in reversed(ladder):
             ctx.prec = step
             y = (y + (+x) / y) / 2  # x rounded to the step: a shorter division
-        tail = int(y.scaleb(prec + 9 - y.adjusted()) % 10**10)  # digits prec+1..prec+10
-        if 100 < tail % (5 * 10**9) < 5 * 10**9 - 100:  # far from 0, 5*10**9, 10**10
+        if _rounds_safely(y, prec):
             ctx.prec = prec
             return +y
     return x.sqrt()
+
+
+def _rounds_safely(y: Decimal, prec: int) -> bool:
+    """Ziv's rounding test: True when every value within 100 units of the
+    tenth digit past y's first prec digits rounds to prec digits as y does,
+    in every rounding mode.  y carries at least prec + 10 digits, and the
+    context at least y's; the ten digits past the first prec (zeros past
+    y's end) must lie more than 100 units from 0, 5*10**9 and 10**10, the
+    places where some mode's rounding changes."""
+    tail = int(y.scaleb(prec + 9 - y.adjusted()) % 10**10)  # digits prec+1..prec+10
+    return 100 < tail % (5 * 10**9) < 5 * 10**9 - 100
 
 
 def _least_digits(n: int) -> int:
@@ -159,6 +181,44 @@ def _halves(low: int, high: int) -> tuple[Decimal, Decimal]:
         return Decimal(10 * q + (r != 0)).scaleb(k - 2)
 
     return half(low), half(high)
+
+
+def _binet_halves(n: int) -> tuple[Decimal, Decimal] | None:
+    """F(n)/2 and F(n+2)/2 as ``_halves`` gives them, by Binet's formula, or
+    None where the rounding test cannot vouch for them.
+
+    F(n) = (phi**(n+1) - psi**(n+1))/sqrt(5) with psi = -1/phi, so F(n)/2 is
+    phi**(n+1)/(2*sqrt(5)) and F(n+2)/2 is that times phi**2 = phi + 1, each
+    up to a psi term whose share is phi**(-2n-2): below 10**(-20*p) where
+    ``_octagon`` calls this, past n = 50*p.  They are taken half-even at
+    w = p + 10 + len(str(n)) + 2 digits, p the context's precision, and
+    u = 10**(1 - w)/2 bounds the relative error of one rounding.  sqrt(5)
+    is correctly rounded and phi is within 3u.  Decimal's integer power
+    works at w + len(str(n + 1)) + 2 digits and rounds once (libmpdec's
+    _mpd_qpow_int), within 1.1u (0.97u at worst in 3,000 random draws of w
+    and n), and it multiplies phi's error by n + 1 <= 10**len(str(n)).  With
+    the division and the product by phi + 1, each value is within
+    (3*10**len(str(n)) + 9)*u, which is under 2*10**(-p - 11) of it: less
+    than a fifth of a unit of the tenth digit past the first p.
+    ``_rounds_safely`` allows 100 such units, so when it passes on both
+    values, each rounds, in the caller's rounding, to the correctly rounded
+    F(n)/2 or F(n+2)/2, as ``_halves`` does.  (At p + len(str(n)) + 2
+    digits the error would reach a fifth of a unit of the first digit past
+    p, and the halves, not yet the published digits, would misround.)
+    """
+    ctx = getcontext()
+    prec, rounding = ctx.prec, ctx.rounding
+    with localcontext() as work:
+        work.prec = prec + 10 + len(str(n)) + 2
+        work.rounding = ROUND_HALF_EVEN
+        root5 = _sqrt(Decimal(5))
+        golden = (1 + root5) / 2
+        inner = golden ** (n + 1) / (2 * root5)
+        outer = inner * (golden + 1)
+        if not (_rounds_safely(inner, prec) and _rounds_safely(outer, prec)):
+            return None
+        work.prec, work.rounding = prec, rounding
+        return +inner, +outer
 
 
 def _golden() -> Decimal:
@@ -273,14 +333,20 @@ def _octagon(n: int, sqrt2: Decimal, root_2m: Decimal) -> tuple[OctagonGeometry,
     precision, given sqrt(2) and sqrt(2 - sqrt(2)) at it; then the point
     (x, s) its ratios are taken at (``_ratios``).
 
-    F(n) and F(n+2) come from one fast doubling, each halved and rounded
-    once by ``_halves``.  s is p_y's own root over F(n)/2:
-    F(n)/2 * sqrt(x**2 - 1) would not keep an exact root exact (n = 4,
-    5-12-13: 6.0, not 6.00).
+    F(n)/2 and F(n+2)/2 come from ``_binet_halves`` past the switch
+    (``_BINET_FACTOR``), else, or where its rounding test fails, from one
+    fast doubling, each halved and rounded once by ``_halves``.  s is p_y's
+    own root over F(n)/2: F(n)/2 * sqrt(x**2 - 1) would not keep an exact
+    root exact (n = 4, 5-12-13: 6.0, not 6.00).
     """
     n = _as_int(n, "n", 0)
-    f_n, f_n1 = _pair(_in_range(n + 2) - 2)
-    half_inner, half_outer = _halves(f_n, f_n + f_n1)
+    _in_range(n + 2)
+    past_switch = n > max(_BINET_FACTOR * getcontext().prec, len(_TABLE))
+    halves = _binet_halves(n) if past_switch else None
+    if halves is None:
+        f_n, f_n1 = _pair(n)
+        halves = _halves(f_n, f_n + f_n1)
+    half_inner, half_outer = halves
     p_y = _sqrt(half_outer * half_outer - half_inner * half_inner)
     x, s = half_outer / half_inner, p_y / half_inner
     ratios = _ratios(x, s, sqrt2, root_2m)
@@ -292,8 +358,10 @@ def _octagon(n: int, sqrt2: Decimal, root_2m: Decimal) -> tuple[OctagonGeometry,
 def _ratios(x: Decimal, s: Decimal, sqrt2: Decimal, root_2m: Decimal) -> tuple[Decimal, ...]:
     """(d/F(n), d/e, e/F(n)) at x = F(n+2)/F(n), s = sqrt(x**2 - 1), given
     sqrt(2) and sqrt(2 - sqrt(2)): with the inner radius F(n)/2 as the unit,
-    p = (1, s), d = sqrt(2)*(s - 1) and e = sqrt(2 - sqrt(2))*x."""
-    return sqrt2 / 2 * (s - 1), sqrt2 * (s - 1) / (root_2m * x), root_2m / 2 * x
+    p = (1, s), d = sqrt(2)*(s - 1) and e = sqrt(2 - sqrt(2))*x.  Two
+    products; d/e is the quotient of the other two."""
+    d_over_f, e_over_f = sqrt2 / 2 * (s - 1), root_2m / 2 * x
+    return d_over_f, d_over_f / e_over_f, e_over_f
 
 
 def _rounded(geo: OctagonGeometry) -> OctagonGeometry:
@@ -310,9 +378,11 @@ def octagon_limits(cfg: PrecisionConfig) -> tuple[Decimal, Decimal, Decimal]:
         (sqrt(2 - sqrt(2))/2) * phi**2                          ~ 1.00188
 
     The first equals the product of the other two.  They are ``_ratios`` at
-    x = phi**2 and s = sqrt(phi**4 - 1) = c + 1, where c = phi * 5**(1/4) - 1
-    since phi**4 - 1 = sqrt(5) * phi**2: four square roots instead of five.
-    The ``octagon`` report shares two with the octagon: five, one doubling.
+    x = phi**2 and s = sqrt(phi**4 - 1), and phi**2 = phi + 1 gives both
+    without a product: x = phi + 1, and phi**4 = 3*phi + 2, so
+    s = sqrt(3*phi + 1).  Four square roots (of 5, of 3*phi + 1, of 2 and of
+    2 - sqrt(2)) and two products, the two in ``_ratios``.  The ``octagon``
+    report shares the roots of two with the octagon.
     """
     with localcontext() as ctx:
         ctx.prec = cfg.digits + _GUARD_DIGITS
@@ -322,11 +392,11 @@ def octagon_limits(cfg: PrecisionConfig) -> tuple[Decimal, Decimal, Decimal]:
 
 
 def _golden_terms() -> tuple[Decimal, Decimal]:
-    """phi**2 and phi * 5**(1/4) = sqrt(phi**4 - 1) in the current context,
-    the point (x, s) of the limits: two roots, of 5 and of sqrt(5)."""
-    sqrt5 = _sqrt(Decimal(5))
-    golden = (1 + sqrt5) / 2
-    return golden * golden, golden * _sqrt(sqrt5)
+    """phi**2 = phi + 1 and sqrt(phi**4 - 1) = sqrt(3*phi + 1) in the current
+    context, the point (x, s) of the limits: two roots, of 5 and of 3*phi + 1,
+    and no product."""
+    golden = _golden()
+    return golden + 1, _sqrt(3 * golden + 1)
 
 
 def octagon_deviations(n: int, cfg: PrecisionConfig) -> tuple[Decimal, Decimal, Decimal]:
@@ -351,7 +421,7 @@ def octagon_deviations(n: int, cfg: PrecisionConfig) -> tuple[Decimal, Decimal, 
     and cancels nowhere but in dev2's numerator, whose terms differ by a
     factor of about 2: it is within a few ulps at the guard digits and rounds
     once to cfg.digits.  This is the ``octagon`` report's pass: one fast
-    doubling and five roots.
+    doubling and five roots, or past Binet's switch none and six.
     """
     return _octagon_report(n, cfg)[2]
 
@@ -360,8 +430,8 @@ def _octagon_report(
     n: int, cfg: PrecisionConfig
 ) -> tuple[OctagonGeometry, tuple[Decimal, ...], tuple[Decimal, ...]]:
     """octagon(n, cfg), octagon_limits(cfg) and octagon_deviations(n, cfg)
-    from one pass at the guard digits: one fast doubling, five roots, and
-    one rounding of each value."""
+    from one pass at the guard digits: one fast doubling and five roots (no
+    doubling and six past Binet's switch), and one rounding of each value."""
     with localcontext() as ctx:
         ctx.prec = cfg.digits + _GUARD_DIGITS
         sqrt2, root_2m = _roots_of_two()

@@ -83,10 +83,16 @@ def render_csv(rows: list[TableRow]) -> str:
     return "\n".join([*lines, ""])
 
 
+# one object of json.dumps(rows, indent=2), written directly: every value
+# is an int, and the pure-Python encoder that indent selects took most of a
+# small render's time
+_JSON_OBJECT = "  {{\n" + ",\n".join(f'    "{field}": {{}}' for field in _CSV_FIELDS) + "\n  }}"
+
+
 def render_json(rows: list[TableRow]) -> str:
-    import json  # here, not at the top: every CLI call imports this module
-    payload = [dict(zip(_CSV_FIELDS, _values(r))) for r in rows]
-    return json.dumps(payload, indent=2) + "\n"
+    if not rows:
+        return "[]\n"
+    return "\n".join(["[", ",\n".join([_JSON_OBJECT.format(*_values(r)) for r in rows]), "]", ""])
 
 
 _RENDERERS = {"aligned": render_aligned, "csv": render_csv, "json": render_json}

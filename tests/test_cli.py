@@ -182,21 +182,21 @@ class TestCheck:
 
     @pytest.mark.parametrize("command", ["check", "descent"])
     def test_one_doubling_per_member(self, command, monkeypatch, capsys):
-        # the lookup's doubling; the printed walk starts from the certified pair
-        from hippasus import cli, descent, fibonacci
+        # the lookup's doubling, to F(5000) = G(5001), certified at its last
+        # step; the printed walk starts from the certified pair
+        from hippasus import cli, fibonacci
 
         doublings = []
 
-        def spy(i):
-            doublings.append(i)
-            return pair(i)
+        def spy(m):
+            doublings.append(m)
+            return halfway(m)
 
-        pair = fibonacci._pair
+        halfway = fibonacci._halfway
         beta = fibonacci.fib(5000)
-        monkeypatch.setattr(fibonacci, "_pair", spy)
-        monkeypatch.setattr(descent, "_pair", spy)
+        monkeypatch.setattr(fibonacci, "_halfway", spy)
         assert cli.main([command, str(beta)]) == 0
-        assert len(doublings) == 1
+        assert doublings == [5001]
         out = capsys.readouterr().out
         assert out.startswith(f"descent: {beta} " if command == "descent" else f"beta: {beta}\n")
         assert out.endswith(" 2 1 1\nfibonacci_index: 5000\n")

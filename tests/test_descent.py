@@ -527,19 +527,20 @@ class TestJump:
             descend(beta)
 
     def test_one_doubling_per_member(self, monkeypatch):
-        # the lookup's doubling is the only one: the trace does not re-run fib(i)
+        # the lookup's doubling, to F(5000) = G(5001), is the only one: the
+        # trace does not re-run fib(i), and the certificate squares at half
+        # size inside it
         doublings = []
 
-        def spy(i):
-            doublings.append(i)
-            return pair(i)
+        def spy(m):
+            doublings.append(m)
+            return halfway(m)
 
-        pair = fibonacci._pair
+        halfway = fibonacci._halfway
         beta = fib(5000)
-        monkeypatch.setattr(fibonacci, "_pair", spy)
-        monkeypatch.setattr(descent, "_pair", spy)
+        monkeypatch.setattr(fibonacci, "_halfway", spy)
         assert descend(beta).recovered_index == 5000
-        assert len(doublings) == 1
+        assert doublings == [5001]
 
     def test_small_descent_builds_no_successor_set(self, monkeypatch):
         # descend reads _decide's answer directly

@@ -15,14 +15,17 @@ from hippasus.descent import (  # noqa: E402
 )
 from hippasus.fibonacci import (  # noqa: E402
     MAX_INDEX,
+    _decide,
     _index_by_magnitude,
+    _locate,
     _pair,
+    _sieve_rejects,
     cassini_residual,
     fib,
 )
 from hippasus.wasteels import classify, wasteels_residual  # noqa: E402
 from test_descent import descend_by_walk, successors_by_isqrt  # noqa: E402
-from test_fibonacci import pair_by_three_products  # noqa: E402
+from test_fibonacci import norm_by_full_size, pair_by_three_products  # noqa: E402
 
 indices = st.integers(min_value=2, max_value=10**4)
 relaxed = settings(deadline=None)
@@ -121,6 +124,19 @@ def test_wasteels_residual_negates_hippasus(x, y):
 @given(st.integers(min_value=2048, max_value=2 * 10**5))
 def test_pair_matches_three_product_doubling(i):
     assert _pair(i) == pair_by_three_products(i)
+
+
+@relaxed
+@given(st.integers(min_value=2048, max_value=2 * 10**5), st.sampled_from((-1, 0, 1)))
+def test_decide_against_the_full_size_norm(i, d):
+    # past the table, where the doubling's last step carries the certificate
+    f, following = pair_by_three_products(i)
+    beta = f + d
+    assert _decide(beta) == ((i, following) if d == 0 else None)
+    if not _sieve_rejects(beta):
+        _, high, alpha = _locate(beta)
+        assert 0 < alpha - high < beta <= high
+        assert norm_by_full_size(alpha - high, high) in (4, -4)
 
 
 # operands up to 2**70000, about F(10**5), drawn by bit length so that long

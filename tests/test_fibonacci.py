@@ -10,9 +10,12 @@ import pytest
 from hippasus import fibonacci
 from hippasus.fibonacci import (
     MAX_INDEX,
+    _certified_pair,
+    _decide,
     _index_by_magnitude,
     _locate,
     _pair,
+    _sieve_rejects,
     cassini_residual,
     fib,
     fib_index_of,
@@ -52,11 +55,18 @@ def pair_by_three_products(i: int) -> tuple[int, int]:
     return a, b
 
 
+def norm_by_full_size(low: int, high: int) -> int:
+    """Oracle: 4*N(low, high) = (2*high - low)**2 - 5*low**2, squared at the
+    pair's own size, the check _decide made on every bracket before its
+    certificate moved to the doubling's last step."""
+    return (2 * high - low) ** 2 - 5 * (low * low)
+
+
 class TestPair:
     def test_matches_one_addition_walk(self):
         a, b = 1, 1  # F(i), F(i+1)
         for i in range(5001):
-            assert _pair(i) == (a, b), i
+            assert _pair(i) == _certified_pair(i) == (a, b), i
             a, b = b, a + b
 
     def test_bit_patterns_of_i_plus_one(self):
@@ -68,6 +78,64 @@ class TestPair:
 
     def test_at_the_largest_index(self):
         assert _pair(MAX_INDEX) == pair_by_three_products(MAX_INDEX)
+
+
+class TestCertificate:
+    """_decide's bracket is certified at half size inside the doubling and
+    guarded modulo 2**61 - 1; the full-size norm is the oracle."""
+
+    def test_decide_against_the_full_size_norm_to_20000(self):
+        a, b = 5, 8  # F(4), F(5), by addition; F(3) - 1 = 2 and F(3) + 1 = 5 are members
+        for i in range(4, 20_001):
+            for beta in (a - 1, a, a + 1):
+                assert _decide(beta) == ((i, b) if beta == a else None), (i, beta - a)
+                if not _sieve_rejects(beta):
+                    _, high, alpha = _locate(beta)
+                    low = alpha - high
+                    assert 0 < low < beta <= high and norm_by_full_size(low, high) in (4, -4)
+            a, b = b, a + b
+
+    @pytest.mark.parametrize(
+        "mutation",
+        [
+            lambda a, b, sign: (a, b, -sign),  # the sign of the other parity
+            lambda a, b, sign: (b, a + b, sign),  # the next pair, of the other norm
+            lambda a, b, sign: (a, b + 1, sign),  # a pair of no unit norm
+        ],
+    )
+    def test_a_wrong_norm_into_the_last_step_raises(self, monkeypatch, mutation):
+        members = {i: fib(i) for i in (2047, 2048, 5000, 100_000)}
+
+        def faulty(m):
+            return mutation(*halfway(m))
+
+        halfway = fibonacci._halfway
+        monkeypatch.setattr(fibonacci, "_halfway", faulty)
+        for i, beta in members.items():
+            with pytest.raises(RuntimeError, match=f"doubling to F\\({i}\\) .* does not certify"):
+                _decide(beta)
+
+    @pytest.mark.parametrize(
+        "mutation",
+        [
+            # the step's sign subtracted, not added
+            lambda aa, bb, sign, m: last_step(aa, bb, -sign, m),
+            # the step's sign dropped
+            lambda aa, bb, sign, m: last_step(aa, bb, 0, m),
+            # the second value one off
+            lambda aa, bb, sign, m: (lambda x, y: (x, y + 1))(*last_step(aa, bb, sign, m)),
+        ],
+    )
+    def test_a_wrong_last_step_fails_the_guard(self, monkeypatch, mutation):
+        # the half-size check passes; the norm modulo 2**61 - 1 catches it
+        members = {i: fib(i) for i in (2047, 2048, 5000, 100_000)}
+        monkeypatch.setattr(fibonacci, "_last_step", mutation)
+        for beta in members.values():
+            with pytest.raises(RuntimeError, match="lookup gave a pair at index .* does not certify"):
+                _decide(beta)
+
+
+last_step = fibonacci._last_step
 
 
 class TestFib:

@@ -19,14 +19,18 @@ import pytest
 
 from hippasus import geometry
 from hippasus.cli import main
-from hippasus.fibonacci import fib
+from hippasus.fibonacci import _pair, fib
 from hippasus.geometry import (
     OctagonGeometry,
     PrecisionConfig,
     PrecisionTooLow,
+    _binet_halves,
     _convergence_rows,
     _digit_count,
+    _halves,
     _octagon_report,
+    _roots_of_two,
+    _rounds_safely,
     _sqrt,
     convergence_table,
     octagon,
@@ -319,6 +323,98 @@ def limits_by_chain(cfg: PrecisionConfig) -> tuple[Decimal, Decimal, Decimal]:
     return tuple(_round_to(v, cfg.digits) for v in (first, second, third))
 
 
+def limits_by_six_products(cfg: PrecisionConfig) -> tuple[Decimal, Decimal, Decimal]:
+    """The limits as the package took them before phi's identities: phi**2
+    and phi * 5**(1/4) by two products, the ratios by four more."""
+    with localcontext() as ctx:
+        ctx.prec = cfg.digits + 10
+        sqrt2, root_2m = _roots_of_two()
+        sqrt5 = _sqrt(Decimal(5))
+        golden = (1 + sqrt5) / 2
+        x, s = golden * golden, golden * _sqrt(sqrt5)
+        limits = sqrt2 / 2 * (s - 1), sqrt2 * (s - 1) / (root_2m * x), root_2m / 2 * x
+        ctx.prec = cfg.digits
+        return tuple(+limit for limit in limits)
+
+
+def test_limits_equal_the_six_product_form():
+    for digits in [*range(15, 401, 7), 1000, 1333, 2371, 3000, 4217]:
+        cfg = PrecisionConfig(digits)
+        assert repr(octagon_limits(cfg)) == repr(limits_by_six_products(cfg)), digits
+    for rounding in ROUNDINGS:
+        for digits in (15, 16, 50, 64, 65, 101, 300, 1000):
+            cfg = PrecisionConfig(digits)
+            with localcontext() as ctx:
+                ctx.rounding = rounding
+                assert repr(octagon_limits(cfg)) == repr(limits_by_six_products(cfg)), (
+                    digits, rounding)
+
+
+class TestBinetHalves:
+    """F(n)/2 and F(n+2)/2 by Binet's formula past the crossover, against
+    the exact halves of one doubling."""
+
+    def test_equal_the_exact_halves_across_the_crossover(self):
+        for prec in (25, 26, 60, 110, 210):
+            start = geometry._BINET_FACTOR * prec
+            cases = [*range(start - 120, start + 121), 10**4, 31_415]
+            pairs = {n: _pair(n) for n in cases}
+            for rounding in ROUNDINGS:
+                with localcontext() as ctx:
+                    ctx.prec, ctx.rounding = prec, rounding
+                    for n, (f_n, f_n1) in pairs.items():
+                        got = _binet_halves(n)
+                        assert got is not None, (prec, rounding, n)
+                        assert repr(got) == repr(_halves(f_n, f_n + f_n1)), (prec, rounding, n)
+
+    def test_equal_the_exact_halves_at_the_largest_index(self):
+        f_n, f_n1 = _pair(999_998)
+        for rounding in ROUNDINGS:
+            with localcontext() as ctx:
+                ctx.prec, ctx.rounding = 60, rounding
+                assert repr(_binet_halves(999_998)) == repr(_halves(f_n, f_n + f_n1)), rounding
+
+    def test_octagon_equals_the_chain_across_the_crossover(self):
+        for rounding in ROUNDINGS:
+            with localcontext() as ctx:
+                ctx.rounding = rounding
+                for digits in (15, 50):
+                    cfg = PrecisionConfig(digits)
+                    start = max(geometry._BINET_FACTOR * (digits + 10), 2047)
+                    for n in range(start - 2, start + 3):
+                        assert repr(octagon(n, cfg)) == repr(octagon_by_chain(n, cfg)), (
+                            n, digits, rounding)
+
+    @pytest.mark.parametrize("n", [3001, 10**5])
+    def test_a_failed_rounding_test_falls_back_to_the_doubling(self, monkeypatch, n):
+        # every test fails: Binet's halves are refused, and _sqrt hands each
+        # root to Decimal.sqrt, which gives the same digits
+        cfg = PrecisionConfig()
+        expected = repr(_octagon_report(n, cfg))
+        tested = []
+
+        def refuse(y, prec):
+            tested.append(prec)
+            return False
+
+        monkeypatch.setattr(geometry, "_rounds_safely", refuse)
+        calls = _spy(monkeypatch)
+        assert repr(_octagon_report(n, cfg)) == expected
+        assert calls["_pair"] == [n] and 60 in tested
+
+    def test_rounding_test_reads_ten_digits_past_the_precision(self):
+        # digits 6..15 of a 20-digit value, against prec = 5
+        with localcontext() as ctx:
+            ctx.prec = 20
+            for tail, safe in (("0000000000", False), ("0000000100", False),
+                               ("0000000101", True), ("4999999899", True),
+                               ("4999999900", False), ("5000000000", False),
+                               ("5000000100", False), ("5000000101", True),
+                               ("9999999899", True), ("9999999900", False)):
+                assert _rounds_safely(Decimal(f"1.2345{tail}99999"), 5) is safe, tail
+                assert _rounds_safely(Decimal(f"-1.2345{tail}99999E+40"), 5) is safe, tail
+
+
 class TestAgainstTheDecimalSqrtChain:
     """Newton roots, rounded operands and the four-root limits give the
     digits of the plain chain, below and above the Newton threshold."""
@@ -434,9 +530,11 @@ class TestOctagonReport:
 
     @pytest.mark.parametrize("n", [0, 40, 1000, 100_000])
     def test_the_command_makes_one_doubling_and_five_roots(self, monkeypatch, capsys, n):
-        # sqrt(2), sqrt(2 - sqrt(2)), p_y, sqrt(5) and its root
+        # below Binet's crossover, 50 * 2010 = 100,500 at 2,000 digits:
+        # sqrt(2), sqrt(2 - sqrt(2)), p_y, sqrt(5) and sqrt(3*phi + 1)
+        assert n <= geometry._BINET_FACTOR * 2010
         calls = _spy(monkeypatch)
-        assert main(["octagon", "--n", str(n)]) == 0
+        assert main(["octagon", "--n", str(n), "--digits", "2000"]) == 0
         assert calls["_pair"] == [n]
         assert len(calls["_sqrt"]) == 5
         assert calls["fib"] == calls["_digit_count"] == []
@@ -449,15 +547,34 @@ class TestOctagonReport:
 
     @pytest.mark.parametrize("n", [0, 40, 100_000])
     def test_one_doubling_and_no_digit_count(self, monkeypatch, n):
+        # below Binet's crossover at 2,000 digits, as above
         calls = _spy(monkeypatch)
-        octagon_deviations(n, PrecisionConfig())
+        octagon_deviations(n, PrecisionConfig(2000))
         assert calls["_pair"] == [n]
         assert calls["fib"] == calls["_digit_count"] == []
 
-    @pytest.mark.parametrize("n, digits", [(0, 15), (40, 50), (1000, 200), (3000, 60)])
+    @pytest.mark.parametrize(
+        "n, digits", [(3001, 50), (100_000, 50), (999_998, 50), (10**4, 15), (5001, 90)]
+    )
+    def test_past_the_crossover_no_doubling_and_a_sixth_root(self, monkeypatch, capsys, n, digits):
+        # F(n)/2 and F(n+2)/2 by Binet's formula, whose sqrt(5) at the working
+        # precision is the one root more: the command takes six, the octagon
+        # four, and none of them doubles
+        assert n > max(geometry._BINET_FACTOR * (digits + 10), 2048)
+        calls = _spy(monkeypatch)
+        assert main(["octagon", "--n", str(n), "--digits", str(digits)]) == 0
+        assert (len(calls["_sqrt"]), calls["_pair"]) == (6, [])
+        calls = _spy(monkeypatch)
+        octagon(n, PrecisionConfig(digits))
+        assert (len(calls["_sqrt"]), calls["_pair"]) == (4, [])
+        assert calls["fib"] == calls["_digit_count"] == []
+
+    @pytest.mark.parametrize("n, digits", [(0, 15), (40, 50), (1000, 200), (3000, 60), (2047, 15)])
     def test_octagon_and_its_limits_take_only_their_roots(self, monkeypatch, n, digits):
-        # octagon: sqrt(2), sqrt(2 - sqrt(2)) and p_y, from one doubling;
-        # octagon_limits: the roots of two, sqrt(5) and its root, no doubling
+        # octagon: sqrt(2), sqrt(2 - sqrt(2)) and p_y, from one doubling
+        # (2047: past 50 * (15 + 10), but not past the 2,048 values of fib's table);
+        # octagon_limits: the roots of two, sqrt(5) and sqrt(3*phi + 1), no
+        # doubling
         calls = _spy(monkeypatch)
         octagon(n, PrecisionConfig(digits))
         assert (len(calls["_sqrt"]), calls["_pair"]) == (3, [n])
