@@ -37,6 +37,7 @@ from hippasus.table import build_rows, render
 from hippasus.wasteels import classify
 
 BIG = (10**5, 10**6 - 1)  # F(n) and F(n + 1) both within fib's range
+PAST_TABLE = (2100, 3000)  # fib just past its table of F(0..2047)
 OCTAGON_N = (10**4, 10**5, 999_998)
 LIMITS_DIGITS = (1000, 1333, 2371, 4217, 7499, 10**4)
 ROUNDS = 3
@@ -75,6 +76,8 @@ def best_of(call, budget_s: float, most: int, number: int = 1) -> tuple[float, i
 def ops(values: dict[int, int]):
     """(name, size, call, check) for every timed op; check(result) is True
     when the answer is right."""
+    for n in PAST_TABLE:
+        yield "fib", n, lambda n=n: fib(n), lambda r, f=values[n]: r == f
     for n in BIG:
         f, f1 = values[n], values[n + 1]
         yield "fib", n, lambda n=n: fib(n), lambda r, f=f: r == f
@@ -84,6 +87,9 @@ def ops(values: dict[int, int]):
         yield ("descend", n, lambda f=f: descend(f),
                lambda r, n=n: r is not None and r.recovered_index == n)
         yield "successors", n, lambda f=f: successors(f), lambda r, f1=f1: r.successors == (f1,)
+    f, f1 = values[BIG[-1]], values[BIG[-1] + 1]
+    yield ("classify", BIG[-1], lambda: classify(f, f1),
+           lambda r: r.consecutive and r.indices == (BIG[-1], BIG[-1] + 1))
     for n in OCTAGON_N:
         f = values[n]
         yield ("octagon", n, lambda n=n: octagon(n, PrecisionConfig(50)),
@@ -145,7 +151,7 @@ def main() -> int:
     parser.add_argument("--out", help="write the JSON here (default: stdout)")
     args = parser.parse_args()
     sys.set_int_max_str_digits(0)
-    values = by_addition([k for n in (*BIG, *OCTAGON_N) for k in (n, n + 1)])
+    values = by_addition([k for n in (*PAST_TABLE, *BIG, *OCTAGON_N) for k in (n, n + 1)])
     commit, src_sha256 = source_identity()
     report = {"commit": commit, "src_sha256": src_sha256, "python": platform.python_version(),
               "nproc": os.cpu_count(), "ops": {}}

@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterator
 
-from .fibonacci import _as_int, _checked_make, _decide, _index_by_magnitude, _pair, fib
+from .fibonacci import _as_int, _checked_make, _decide, _index_by_magnitude, _pair, _shown, fib
 
 
 class NotHippasusError(ValueError):
@@ -60,12 +60,13 @@ class HippasusPair(namedtuple("HippasusPair", "beta alpha sign")):
     def __new__(cls, beta: int, alpha: int, sign: int) -> "HippasusPair":
         beta, alpha, sign = _as_int(beta, "beta", 1), _as_int(alpha, "alpha"), _as_int(sign, "sign")
         if alpha < beta:
-            raise ValueError(f"alpha must be >= beta, got ({beta}, {alpha})")
+            raise ValueError(f"alpha must be >= beta, got ({_shown(beta)}, {_shown(alpha)})")
         if sign not in (1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {sign}")
+            raise ValueError(f"sign must be +1 or -1, got {_shown(sign)}")
         residual = beta * (beta + alpha) - alpha * alpha
         if residual != sign:
-            raise ValueError(f"residual of ({beta}, {alpha}) is {residual}, not {sign}")
+            shown = f"{_shown(beta)}, {_shown(alpha)}"
+            raise ValueError(f"residual of ({shown}) is {_shown(residual)}, not {sign}")
         return super().__new__(cls, beta, alpha, sign)
 
     @classmethod
@@ -73,9 +74,8 @@ class HippasusPair(namedtuple("HippasusPair", "beta alpha sign")):
         """Build a pair from its two members, deriving the sign from the residual."""
         residual = hippasus_residual(beta, alpha)
         if residual not in (1, -1):
-            raise NotHippasusError(
-                f"({beta}, {alpha}) has residual {residual}; not a Hippasus pair"
-            )
+            shown = f"{_shown(beta)}, {_shown(alpha)}"
+            raise NotHippasusError(f"({shown}) has residual {_shown(residual)}; not a Hippasus pair")
         return cls(beta, alpha, residual)
 
 
@@ -107,7 +107,7 @@ class DescentTrace(namedtuple("DescentTrace", "beta recovered_index")):
     def __new__(cls, beta: int, recovered_index: int) -> "DescentTrace":
         beta, recovered_index = _as_int(beta, "beta"), _as_int(recovered_index, "recovered_index")
         if fib(recovered_index) != beta:
-            raise ValueError(f"fib({recovered_index}) != starting value {beta}")
+            raise ValueError(f"fib({recovered_index}) != starting value {_shown(beta)}")
         return super().__new__(cls, beta, recovered_index)
 
     @property
@@ -165,7 +165,7 @@ def unique_successor(beta: int) -> int:
     beta = _as_int(beta, "beta", 2)
     found = successors(beta).successors
     if not found:
-        raise NotHippasusError(f"{beta} is not a Hippasus number")
+        raise NotHippasusError(f"{_shown(beta)} is not a Hippasus number")
     return found[0]
 
 

@@ -47,6 +47,16 @@ def _as_int(value: object, name: str, minimum: int | None = None) -> int:
     return number
 
 
+def _shown(n: int) -> str:
+    """str(n), or n's size where str() would pass the interpreter's int->str
+    digit limit (4,300 digits by default) and raise ValueError: messages
+    that name a value name it by this."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"an integer of {n.bit_length()} bits"
+
+
 def _checked_make(cls, fields):
     """A validating named tuple's ``_make`` (``_make = classmethod(...)``):
     through ``cls(*fields)``, so that ``_replace`` runs the checks in
@@ -56,64 +66,51 @@ def _checked_make(cls, fields):
 
 def _pair(i: int) -> tuple[int, int]:
     """(F(i), F(i+1)): read from the table while F(i+1) is in it, else by
-    fast doubling, two squarings a bit, nothing stored.
+    fast doubling, two squarings a level, nothing stored.
 
-    With the conventional G(0) = 0, G(1) = 1 we have F(i) = G(i+1).  Each bit
-    of i + 1, most significant first, takes (G(k-1), G(k)) to (G(2k-1), G(2k))
-    or (G(2k), G(2k+1)) by G(2k-1) = G(k)**2 + G(k-1)**2,
-    G(2k+1) = 4*G(k)**2 - G(k-1)**2 + 2*(-1)**k and G(2k) = G(2k+1) - G(2k-1):
-    the recurrence of GMP's mpz_fib2_ui, a form of the doubling identities
-    in Knuth, TAOCP vol. 2, 4.6.3.  CPython squares faster than it
-    multiplies, and the classic step takes a product and two squarings.
-    ``_halfway`` runs every bit but the last, ``_last_step`` the last.
+    With the conventional G(0) = 0, G(1) = 1 we have F(i) = G(i+1).  One
+    step takes (G(k-1), G(k)) to (G(2k-1), G(2k)) or (G(2k), G(2k+1)) by
+    G(2k-1) = G(k)**2 + G(k-1)**2, G(2k+1) = 4*G(k)**2 - G(k-1)**2 + 2*(-1)**k
+    and G(2k) = G(2k+1) - G(2k-1): the recurrence of GMP's mpz_fib2_ui, a
+    form of the doubling identities in Knuth, TAOCP vol. 2, 4.6.3.  CPython
+    squares faster than it multiplies, and the classic step takes a product
+    and two squarings.  With k = (i + 1) // 2 the step's input is
+    ``_pair(k - 2)``, so the recursion halves i until the table answers:
+    9 levels at MAX_INDEX, whose i + 1 has 20 bits; the table stands in for
+    the top 11.
     """
     if i + 1 < len(_TABLE):
         return _TABLE[i], _TABLE[i + 1]
-    a, b, sign = _halfway(i + 1)
-    return _last_step(a * a, b * b, sign, i + 1)
+    a, b = _pair((i + 1) // 2 - 2)
+    return _last_step(a * a, b * b, i + 1)
 
 
 def _certified_pair(i: int) -> tuple[int, int]:
-    """``_pair(i)``, with the input of the doubling's last step checked at
-    the cost of one half-size squaring; ``_decide`` rests on it.
+    """``_pair(i)``, with the input of its top doubling step checked at the
+    cost of one half-size squaring; ``_locate`` runs it for ``_decide``.
 
-    The last step takes (a, b) = (G(k-1), G(k)) with 2*(-1)**k = -2*eps,
-    where eps = b**2 - a*b - a**2.  This checks (2b - a)**2 - 5*a**2 = 4*eps,
-    reusing a**2, and raises RuntimeError if it fails.  Once it holds, the
-    step's output, read as u + v*phi in Z[phi], is (a + b*phi)**2 or that
-    times phi, and a + b*phi has norm a**2 + a*b - b**2 = -eps = +/-1; the
-    norm is multiplicative, so the output pair has norm +/-1 too, whatever
-    the earlier steps computed.
+    The step takes (a, b) = (G(k-1), G(k)) = ``_pair(k - 2)``, k = (i+1) // 2,
+    with 2*(-1)**k = -2*eps, where eps = b**2 - a*b - a**2.  This checks
+    (2b - a)**2 - 5*a**2 = 4*eps, reusing a**2, and raises RuntimeError if it
+    fails.  Once it holds, the step's output, read as u + v*phi in Z[phi], is
+    (a + b*phi)**2 or that times phi, and a + b*phi has norm
+    a**2 + a*b - b**2 = -eps = +/-1; the norm is multiplicative, so the
+    output pair has norm +/-1 too, whatever the lower levels computed.
     """
     if i + 1 < len(_TABLE):
         return _TABLE[i], _TABLE[i + 1]
-    a, b, sign = _halfway(i + 1)
+    a, b = _pair((i + 1) // 2 - 2)
     aa = a * a
-    if (2 * b - a) ** 2 - 5 * aa != -2 * sign:
+    if (2 * b - a) ** 2 - 5 * aa != (4 if (i + 1) & 2 else -4):
         raise RuntimeError(f"the doubling to F({i}) met a pair whose norm does not certify it")
-    return _last_step(aa, b * b, sign, i + 1)
+    return _last_step(aa, b * b, i + 1)
 
 
-def _halfway(m: int) -> tuple[int, int, int]:
-    """(G(k-1), G(k), 2*(-1)**k) for k = m // 2: ``_pair``'s doubling over
-    every bit of m >= 1 but the last."""
-    a, b = 1, 0  # G(k-1), G(k) at k = 0
-    sign = 2  # 2*(-1)**k
-    for bit in bin(m)[2:-1]:
-        aa, bb = a * a, b * b
-        low = aa + bb  # G(2k-1)
-        high = 4 * bb - aa + sign  # G(2k+1)
-        if bit == "1":
-            a, b, sign = high - low, high, -2
-        else:
-            a, b, sign = low, high - low, 2
-    return a, b, sign
-
-
-def _last_step(aa: int, bb: int, sign: int, m: int) -> tuple[int, int]:
-    """(G(m), G(m+1)) from G(k-1)**2, G(k)**2 and 2*(-1)**k, k = m // 2:
-    the doubling's last step, by the formulas of its loop."""
-    low, high = aa + bb, 4 * bb - aa + sign  # G(2k-1), G(2k+1)
+def _last_step(aa: int, bb: int, m: int) -> tuple[int, int]:
+    """(G(m), G(m+1)) from G(k-1)**2 and G(k)**2, k = m // 2: one doubling
+    step, by the formulas in ``_pair``; 2*(-1)**k is -2 exactly when m & 2
+    is set."""
+    low, high = aa + bb, 4 * bb - aa + (-2 if m & 2 else 2)  # G(2k-1), G(2k+1)
     return (high, 2 * high - low) if m & 1 else (high - low, high)
 
 
@@ -132,7 +129,7 @@ def fib(i: int) -> int:
 def _in_range(i: int) -> int:
     """i itself, or ValueError when F(i) lies past MAX_INDEX."""
     if i > MAX_INDEX:
-        raise ValueError(f"index {i} exceeds the supported range (max {MAX_INDEX})")
+        raise ValueError(f"index {_shown(i)} exceeds the supported range (max {MAX_INDEX})")
     return i
 
 
@@ -162,8 +159,11 @@ def _index_by_magnitude(beta: int) -> int:
     geometrically with i (0.11 of an index at i = 2, 5e-10 at i = 22).
     math.log2 reads beta's top bits, so the float error is about i * 1e-16
     of an index: the rounding is exact for every i a machine could hold.
-    It decides nothing, since a non-member gets an index too: ``_locate``
-    walks from it, and callers that publish a member's index check it.
+    A non-member gets an index too, so the index alone decides nothing:
+    ``_locate`` walks from it for ``_decide``, whose callers check a
+    member's index against it, and ``fib_index_of`` and
+    ``is_consecutive_fib`` compare ``_pair`` at it with their arguments,
+    which is their whole answer, since a member's index is exact.
     """
     return round((math.log2(beta) + _LOG2_SQRT5) / _LOG2_PHI) - 1
 
@@ -213,15 +213,16 @@ def _decide(beta: int) -> tuple[int, int] | None:
     Where the pair was doubled, past the table, its norm is +/-1 by proof,
     not by the full-size check 4*N = (2*high - low)**2 - 5*low**2, which
     would cost two squarings of the answer's size (63 of 93 ms at F(10**6)):
-    ``_certified_pair`` checks the input of the doubling's last step at half
-    size, norms multiply, and ``_locate``'s single steps by addition keep
-    |N| = 1.  What the proof assumes is that those few lines compute what
-    they say; a bug anywhere in them, or a lookup that returns other values,
-    would still pass it.  So 4*N is also read modulo the Mersenne prime
-    2**61 - 1, in O(n): a wrong pair passes that guard only if its 4*N is
-    congruent to +/-4, which a fault has no reason to arrange.  Inside the
-    table the exact 4*N costs less than the reductions and is kept.  A
-    failed check raises RuntimeError.
+    ``_certified_pair`` checks the input of the doubling's top step, the
+    unchecked ``_pair`` at half the index, at half size, norms multiply, and
+    ``_locate``'s single steps by addition keep |N| = 1.  What the proof
+    assumes is that those few lines compute what they say; a bug anywhere in
+    them, or a lookup that returns other values, would still pass it.  So
+    4*N is also read modulo the Mersenne prime 2**61 - 1, in O(n): a wrong
+    pair passes that guard only if its 4*N is congruent to +/-4, which a
+    fault has no reason to arrange.  Inside the table the exact 4*N costs
+    less than the reductions and is kept.  A failed check raises
+    RuntimeError.
     """
     if beta == 1:
         return 0, 1
@@ -247,13 +248,16 @@ def fib_index_of(n: int) -> int | None:
 
     n = 1 returns 0 (the smaller of its two valid indices).  Requires n >= 1;
     values beyond F(MAX_INDEX) are answered too.  The residue sieve refuses
-    most non-members before the lookup.
+    most non-members; past it, n is a member iff it is F(i) at the index
+    its magnitude gives, which is exact for members: one doubling, no walk.
     """
     n = _as_int(n, "n", 1)
+    if n == 1:
+        return 0
     if _sieve_rejects(n):
         return None
-    i, value, _ = _locate(n)
-    return i if value == n else None
+    i = _index_by_magnitude(n)
+    return i if _pair(i)[0] == n else None
 
 
 def is_consecutive_fib(x: int, y: int) -> bool:
@@ -261,11 +265,9 @@ def is_consecutive_fib(x: int, y: int) -> bool:
     x, y = _as_int(x, "x", 1), _as_int(y, "y", 1)
     if x == 1:
         return y in (1, 2)
-    # F(i) < F(i+1) < 2*F(i) for every i >= 2
-    if not x < y < 2 * x or _sieve_rejects(x):
-        return False
-    _, value, following = _locate(x)
-    return value == x and following == y
+    # F(i) < F(i+1) < 2*F(i) for every i >= 2; past the sieve, x's index is
+    # exact if x is a member
+    return x < y < 2 * x and not _sieve_rejects(x) and _pair(_index_by_magnitude(x)) == (x, y)
 
 
 def cassini_residual(i: int) -> int:

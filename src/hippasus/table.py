@@ -6,7 +6,7 @@ from functools import partial
 from operator import attrgetter
 
 from .descent import HippasusPair
-from .fibonacci import _as_int, _checked_make
+from .fibonacci import _as_int, _checked_make, _shown
 
 _CSV_FIELDS = ("beta", "alpha", "sum", "product", "sign", "alpha_squared")
 _values = attrgetter(*_CSV_FIELDS)  # a row's CSV / JSON fields, in that order
@@ -22,9 +22,9 @@ class TableRow(namedtuple("TableRow", "beta alpha sum sign alpha_squared")):
         values = (beta, alpha, sum, sign, alpha_squared)
         self = super().__new__(cls, *map(_as_int, values, cls._fields))
         if self.sum != self.beta + self.alpha:
-            raise ValueError(f"sum must be beta + alpha, got {self}")
+            raise ValueError(f"sum must be beta + alpha, got {_row_text(self)}")
         if self.alpha_squared != self.alpha * self.alpha:
-            raise ValueError(f"alpha_squared must be alpha**2, got {self}")
+            raise ValueError(f"alpha_squared must be alpha**2, got {_row_text(self)}")
         HippasusPair(self.beta, self.alpha, self.sign)
         return self
 
@@ -36,6 +36,12 @@ class TableRow(namedtuple("TableRow", "beta alpha sum sign alpha_squared")):
     @property
     def annotation(self) -> str:
         return f"{self.alpha}^2{'+' if self.sign > 0 else '-'}1"
+
+
+def _row_text(row: TableRow) -> str:
+    """repr(row), each value as ``_shown`` gives it: a check's message names a
+    row past the int->str limit without raising on the way."""
+    return f"TableRow({', '.join(f'{k}={_shown(v)}' for k, v in zip(row._fields, row))})"
 
 
 # TableRow without its checks, for the rows of one certified walk

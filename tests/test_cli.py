@@ -182,21 +182,22 @@ class TestCheck:
 
     @pytest.mark.parametrize("command", ["check", "descent"])
     def test_one_doubling_per_member(self, command, monkeypatch, capsys):
-        # the lookup's doubling, to F(5000) = G(5001), certified at its last
-        # step; the printed walk starts from the certified pair
+        # the lookup's doubling, to F(5000) = G(5001), certified at its top
+        # step: one step from the table to G(2499), one to G(5001); the
+        # printed walk starts from the certified pair
         from hippasus import cli, fibonacci
 
-        doublings = []
+        steps = []
 
-        def spy(m):
-            doublings.append(m)
-            return halfway(m)
+        def spy(aa, bb, m):
+            steps.append(m)
+            return last_step(aa, bb, m)
 
-        halfway = fibonacci._halfway
+        last_step = fibonacci._last_step
         beta = fibonacci.fib(5000)
-        monkeypatch.setattr(fibonacci, "_halfway", spy)
+        monkeypatch.setattr(fibonacci, "_last_step", spy)
         assert cli.main([command, str(beta)]) == 0
-        assert doublings == [5001]
+        assert steps == [2499, 5001]
         out = capsys.readouterr().out
         assert out.startswith(f"descent: {beta} " if command == "descent" else f"beta: {beta}\n")
         assert out.endswith(" 2 1 1\nfibonacci_index: 5000\n")

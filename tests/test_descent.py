@@ -430,26 +430,31 @@ class TestJump:
             assert lookups == [(fib(i), i)], i
 
     def test_sieve_rejection_is_the_whole_answer(self, monkeypatch):
-        # one residue test and no lookup for a non-member the sieve rejects,
-        # by every entry point that decides membership
+        # one residue test and no lookup or doubling for a non-member the
+        # sieve rejects, by every entry point that decides membership
         sieved = []
 
         def sieve(b):
             sieved.append(b)
             return rejects(b)
 
-        def no_lookup(b):
-            raise AssertionError(f"_locate({b}) called")
+        def forbidden(name):
+            def call(n):
+                raise AssertionError(f"{name}({n}) called")
 
+            return call
+
+        members = {i: fib(i) for i in (90, 91, 1000, 1001, 5000, 5001)}  # before the spies
         rejects = fibonacci._sieve_rejects
         monkeypatch.setattr(fibonacci, "_sieve_rejects", sieve)
-        monkeypatch.setattr(fibonacci, "_locate", no_lookup)
+        for name in ("_locate", "_pair"):
+            monkeypatch.setattr(fibonacci, name, forbidden(name))
         for i in (90, 1000, 5000):
-            beta = fib(i) + 1
+            beta = members[i] + 1
             for answer, refusal in (
                 (lambda: descend(beta), None),
                 (lambda: fib_index_of(beta), None),
-                (lambda: is_consecutive_fib(beta, fib(i + 1)), False),
+                (lambda: is_consecutive_fib(beta, members[i + 1]), False),
             ):
                 sieved.clear()
                 assert answer() is refusal
@@ -457,10 +462,13 @@ class TestJump:
 
     def test_non_member_past_the_sieve_is_refused_by_its_bracket(self, monkeypatch):
         # a value strictly between two Fibonacci numbers that every residue
-        # admits: the lookup's bracket (F(100), F(101)) gives the
-        # "no", after one sieve and one lookup
+        # admits: descend's certified lookup brackets it by (F(100), F(101))
+        # for the "no"; the two value callers compare it with the pair at
+        # its magnitude's index, one table read, and neither walks nor
+        # certifies
         beta = SIEVE_PASS_101
-        calls = {"_sieve_rejects": [], "_locate": []}
+        index = fibonacci._index_by_magnitude(beta)
+        calls = {"_sieve_rejects": [], "_locate": [], "_certified_pair": [], "_pair": []}
 
         def spy(name):
             real = getattr(fibonacci, name)
@@ -473,15 +481,18 @@ class TestJump:
 
         for name in calls:
             monkeypatch.setattr(fibonacci, name, spy(name))
-        for answer, refusal in (
-            (lambda: descend(beta), None),
-            (lambda: fib_index_of(beta), None),
-            (lambda: is_consecutive_fib(beta, fib(101)), False),
+        certified = {"_sieve_rejects": [beta], "_locate": [beta],
+                     "_certified_pair": [index], "_pair": []}
+        by_value = {"_sieve_rejects": [beta], "_locate": [], "_certified_pair": [], "_pair": [index]}
+        for answer, refusal, expected in (
+            (lambda: descend(beta), None, certified),
+            (lambda: fib_index_of(beta), None, by_value),
+            (lambda: is_consecutive_fib(beta, fib(101)), False, by_value),
         ):
             for called in calls.values():
                 called.clear()
             assert answer() is refusal
-            assert calls == {"_sieve_rejects": [beta], "_locate": [beta]}
+            assert calls == expected
 
     @pytest.mark.parametrize(
         "beta, lookup",
@@ -527,20 +538,20 @@ class TestJump:
             descend(beta)
 
     def test_one_doubling_per_member(self, monkeypatch):
-        # the lookup's doubling, to F(5000) = G(5001), is the only one: the
-        # trace does not re-run fib(i), and the certificate squares at half
-        # size inside it
-        doublings = []
+        # the lookup's doubling, to F(5000) = G(5001), is the only one: one
+        # step from the table to G(2499), one to G(5001); the trace does not
+        # re-run fib(i), and the certificate squares at half size inside it
+        steps = []
 
-        def spy(m):
-            doublings.append(m)
-            return halfway(m)
+        def spy(aa, bb, m):
+            steps.append(m)
+            return last_step(aa, bb, m)
 
-        halfway = fibonacci._halfway
+        last_step = fibonacci._last_step
         beta = fib(5000)
-        monkeypatch.setattr(fibonacci, "_halfway", spy)
+        monkeypatch.setattr(fibonacci, "_last_step", spy)
         assert descend(beta).recovered_index == 5000
-        assert doublings == [5001]
+        assert steps == [2499, 5001]
 
     def test_small_descent_builds_no_successor_set(self, monkeypatch):
         # descend reads _decide's answer directly

@@ -55,6 +55,15 @@ def pair_by_three_products(i: int) -> tuple[int, int]:
     return a, b
 
 
+def halving_chain(i: int) -> list[int]:
+    """The indices _pair(i) asks for, i first: each level's step takes its
+    input from (i + 1) // 2 - 2, until F(i + 1) is in the table of F(0..2047)."""
+    chain = [i]
+    while chain[-1] + 1 >= 2048:
+        chain.append((chain[-1] + 1) // 2 - 2)
+    return chain
+
+
 def norm_by_full_size(low: int, high: int) -> int:
     """Oracle: 4*N(low, high) = (2*high - low)**2 - 5*low**2, squared at the
     pair's own size, the check _decide made on every bracket before its
@@ -98,44 +107,80 @@ class TestCertificate:
     @pytest.mark.parametrize(
         "mutation",
         [
-            lambda a, b, sign: (a, b, -sign),  # the sign of the other parity
-            lambda a, b, sign: (b, a + b, sign),  # the next pair, of the other norm
-            lambda a, b, sign: (a, b + 1, sign),  # a pair of no unit norm
+            lambda a, b: (b - a, a),  # the pair below, of the other norm
+            lambda a, b: (b, a + b),  # the pair above, of the other norm
+            lambda a, b: (a, b + 1),  # a pair of no unit norm
         ],
     )
     def test_a_wrong_norm_into_the_last_step_raises(self, monkeypatch, mutation):
+        # the top step's input is _pair at (i + 1) // 2 - 2; only that call
+        # is wrong, so the lower levels are right and the half-size check
+        # alone can fail
         members = {i: fib(i) for i in (2047, 2048, 5000, 100_000)}
-
-        def faulty(m):
-            return mutation(*halfway(m))
-
-        halfway = fibonacci._halfway
-        monkeypatch.setattr(fibonacci, "_halfway", faulty)
         for i, beta in members.items():
+            half, injected = (i + 1) // 2 - 2, []
+
+            def faulty(j, half=half, injected=injected):
+                if j != half:
+                    return pair(j)
+                injected.append(j)
+                return mutation(*pair(j))
+
+            monkeypatch.setattr(fibonacci, "_pair", faulty)
             with pytest.raises(RuntimeError, match=f"doubling to F\\({i}\\) .* does not certify"):
                 _decide(beta)
+            assert injected == [half], i
 
     @pytest.mark.parametrize(
         "mutation",
         [
             # the step's sign subtracted, not added
-            lambda aa, bb, sign, m: last_step(aa, bb, -sign, m),
+            lambda aa, bb, m: step_with_sign(aa, bb, m, -step_sign(m)),
             # the step's sign dropped
-            lambda aa, bb, sign, m: last_step(aa, bb, 0, m),
+            lambda aa, bb, m: step_with_sign(aa, bb, m, 0),
             # the second value one off
-            lambda aa, bb, sign, m: (lambda x, y: (x, y + 1))(*last_step(aa, bb, sign, m)),
+            lambda aa, bb, m: (lambda x, y: (x, y + 1))(*last_step(aa, bb, m)),
         ],
     )
     def test_a_wrong_last_step_fails_the_guard(self, monkeypatch, mutation):
-        # the half-size check passes; the norm modulo 2**61 - 1 catches it
+        # only the top step, m = i + 1, is wrong: its input is right, so the
+        # half-size check passes, and the norm modulo 2**61 - 1 catches it
         members = {i: fib(i) for i in (2047, 2048, 5000, 100_000)}
-        monkeypatch.setattr(fibonacci, "_last_step", mutation)
-        for beta in members.values():
+        for i, beta in members.items():
+            mutated = []
+
+            def faulty(aa, bb, m, top=i + 1, mutated=mutated):
+                if m != top:
+                    return last_step(aa, bb, m)
+                mutated.append(m)
+                return mutation(aa, bb, m)
+
+            monkeypatch.setattr(fibonacci, "_last_step", faulty)
             with pytest.raises(RuntimeError, match="lookup gave a pair at index .* does not certify"):
                 _decide(beta)
+            assert mutated == [i + 1], i
+
+    def test_the_mutations_differ_from_the_step_by_their_sign_alone(self):
+        # step_with_sign at the true sign is the step the guard test mutates
+        for m in range(2, 200):
+            aa, bb = fib_by_addition(m // 2 - 1) ** 2, fib_by_addition(m // 2) ** 2
+            assert step_with_sign(aa, bb, m, step_sign(m)) == last_step(aa, bb, m)
+            assert last_step(aa, bb, m) == (fib_by_addition(m), fib_by_addition(m + 1)), m
 
 
+pair = fibonacci._pair
 last_step = fibonacci._last_step
+
+
+def step_sign(m: int) -> int:
+    """2*(-1)**k, k = m // 2: the sign term of the doubling step to G(m)."""
+    return 2 * (-1) ** (m // 2)
+
+
+def step_with_sign(aa: int, bb: int, m: int, sign: int) -> tuple[int, int]:
+    """The doubling step to (G(m), G(m+1)) with ``sign`` for its sign term."""
+    low, high = aa + bb, 4 * bb - aa + sign
+    return (high, 2 * high - low) if m & 1 else (high - low, high)
 
 
 class TestFib:
@@ -352,7 +397,8 @@ class TestCassini:
 
     def test_one_pair_a_call_across_the_table_edge(self, monkeypatch):
         # the table ends at F(2047); one _pair call gives both values on
-        # either side of it
+        # either side of it, and past it the only further calls are its own
+        # recursion, halving the index down into the table
         calls = []
 
         def spy(i):
@@ -363,7 +409,12 @@ class TestCassini:
         for i in [*range(2040, 2061), 10**5]:
             calls.clear()
             assert cassini_residual(i) == (-1) ** i, i
-            assert calls == [i], i
+            assert calls == halving_chain(i), i
+        assert halving_chain(2046) == [2046] and halving_chain(2047) == [2047, 1022]
+        assert halving_chain(10**5) == [10**5, 49_998, 24_997, 12_497, 6_247, 3_122, 1_559]
+        calls.clear()
+        assert spy(MAX_INDEX) == pair_by_three_products(MAX_INDEX)
+        assert calls == halving_chain(MAX_INDEX) and len(calls) == 10  # 9 doubling levels
 
     def test_refuses_past_the_range_before_any_fib(self):
         # F(i + 2) lies past MAX_INDEX: refused before a fast doubling runs

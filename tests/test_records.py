@@ -11,6 +11,7 @@ import pytest
 from hippasus import (
     DescentTrace,
     HippasusPair,
+    NotHippasusError,
     PrecisionConfig,
     PrecisionTooLow,
     SuccessorSet,
@@ -23,6 +24,7 @@ from hippasus import (
     fib,
     octagon,
     successors,
+    unique_successor,
 )
 from hippasus.geometry import ConvergenceRow, OctagonGeometry
 
@@ -164,6 +166,71 @@ def test_replace_and_make_validate(name):
             build()
         assert type(caught.value) is type(direct.value)
         assert str(caught.value) == message
+
+
+# F(30000) has 6,270 digits, past the interpreter's default int->str limit
+# of 4,300: a message that formats it whole would raise instead of the check
+BIG, BIG_NEXT = fib(30_000), fib(30_001)
+BIG_SHOWN = f"an integer of {BIG.bit_length()} bits"
+NEXT_SHOWN = f"an integer of {BIG_NEXT.bit_length()} bits"
+PAST_THE_LIMIT = {
+    "unique_successor": (
+        lambda: unique_successor(BIG + 1), NotHippasusError,
+        f"{BIG_SHOWN} is not a Hippasus number",
+    ),
+    "from_beta_alpha": (
+        lambda: HippasusPair.from_beta_alpha(BIG, BIG + 1), NotHippasusError,
+        f"({BIG_SHOWN}, {BIG_SHOWN}) has residual an integer of"
+        f" {(BIG * (2 * BIG + 1) - (BIG + 1) ** 2).bit_length()} bits; not a Hippasus pair",
+    ),
+    "HippasusPair order": (
+        lambda: HippasusPair(BIG, BIG - 1, 1), ValueError,
+        f"alpha must be >= beta, got ({BIG_SHOWN}, {BIG_SHOWN})",
+    ),
+    "HippasusPair sign": (
+        lambda: HippasusPair(BIG, BIG_NEXT, BIG), ValueError,
+        f"sign must be +1 or -1, got {BIG_SHOWN}",
+    ),
+    "HippasusPair residual": (
+        lambda: HippasusPair(BIG, BIG_NEXT, -1), ValueError,
+        f"residual of ({BIG_SHOWN}, {NEXT_SHOWN}) is 1, not -1",
+    ),
+    "DescentTrace": (
+        lambda: DescentTrace(BIG + 1, 30_000), ValueError,
+        f"fib(30000) != starting value {BIG_SHOWN}",
+    ),
+    "fib": (
+        lambda: fib(10**5000), ValueError,
+        f"index an integer of {(10**5000).bit_length()} bits exceeds the supported range"
+        " (max 1000000)",
+    ),
+    "TableRow sum": (
+        lambda: TableRow(BIG, BIG_NEXT, BIG + BIG_NEXT - 1, 1, BIG_NEXT**2), ValueError,
+        f"sum must be beta + alpha, got TableRow(beta={BIG_SHOWN}, alpha={NEXT_SHOWN},"
+        f" sum=an integer of {(BIG + BIG_NEXT - 1).bit_length()} bits, sign=1,"
+        f" alpha_squared=an integer of {(BIG_NEXT**2).bit_length()} bits)",
+    ),
+    "TableRow square": (
+        lambda: TableRow(BIG, BIG_NEXT, BIG + BIG_NEXT, 1, BIG_NEXT**2 + 1), ValueError,
+        f"alpha_squared must be alpha**2, got TableRow(beta={BIG_SHOWN}, alpha={NEXT_SHOWN},"
+        f" sum=an integer of {(BIG + BIG_NEXT).bit_length()} bits, sign=1,"
+        f" alpha_squared=an integer of {(BIG_NEXT**2 + 1).bit_length()} bits)",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PAST_THE_LIMIT))
+def test_a_check_past_the_int_to_str_limit_raises_its_own_error(name):
+    call, error, message = PAST_THE_LIMIT[name]
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)  # the default, whatever an earlier test set
+    try:
+        with pytest.raises(error) as caught:
+            call()
+    finally:
+        sys.set_int_max_str_digits(before)
+    assert type(caught.value) is error
+    assert str(caught.value) == message
 
 
 def test_successor_set_truth_is_its_successors():
