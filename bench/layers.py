@@ -11,6 +11,15 @@ list, each op's best kept: the host this was written on has slow spells
 of seconds, which one op's repeats in a row can fall inside entirely (a
 small call read twice its time in one of two runs).  Standard library
 only; the package is whatever ``import hippasus`` finds.
+
+Start-up is probed in fresh interpreters, CLI_PROBES times each, round
+robin so that a slow spell of the host falls on every probe alike: ``python
+-c pass``, ``import hippasus`` and ``import hippasus.cli`` (the import alone,
+timed inside the child), and two ``python -m hippasus`` calls (wall time,
+first stdout line checked).  The children import a copy of the package's
+``*.py`` in a temporary directory with PYTHONDONTWRITEBYTECODE=1, so every
+probe compiles the modules it imports, as a call does where no bytecode
+cache was ever written.
 """
 from __future__ import annotations
 
@@ -22,8 +31,11 @@ import json
 import os
 import platform
 import resource
+import shutil
+import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from decimal import Decimal, localcontext
 from pathlib import Path
@@ -41,6 +53,25 @@ PAST_TABLE = (2100, 3000)  # fib just past its table of F(0..2047)
 OCTAGON_N = (10**4, 10**5, 999_998)
 LIMITS_DIGITS = (1000, 1333, 2371, 4217, 7499, 10**4)
 ROUNDS = 3
+CLI_PROBES = 100
+
+# prints the seconds an import takes and where the package came from
+IMPORT_PROBE = """\
+import sys, time
+t = time.perf_counter()
+import {module}
+t = time.perf_counter() - t
+print(repr(t), sys.modules["hippasus"].__file__)
+"""
+
+# name -> (interpreter arguments, first stdout line; None: an import probe)
+CLI_CALLS = {
+    "python -c pass": (["-c", "pass"], ""),
+    "import hippasus": (["-c", IMPORT_PROBE.format(module="hippasus")], None),
+    "import hippasus.cli": (["-c", IMPORT_PROBE.format(module="hippasus.cli")], None),
+    "check 55": (["-m", "hippasus", "check", "55"], "beta: 55"),
+    "octagon --n 40": (["-m", "hippasus", "octagon", "--n", "40"], "n: 40"),
+}
 
 # phi's octagon limits to 70 digits (mpmath at 80 digits), as in perfbench
 LIMITS = (
@@ -132,6 +163,44 @@ def limits_ok(limits) -> bool:
     return all(abs(r - limit) <= Decimal("1e-68") for r, limit in zip(limits, LIMITS))
 
 
+def cli_probes() -> dict:
+    """Start-up costs in fresh interpreters: each call's median and
+    quartiles in ms over CLI_PROBES probes, taken round robin."""
+    seconds = {name: [] for name in CLI_CALLS}
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp) / "hippasus"
+        copy.mkdir()
+        for path in Path(hippasus.__file__).parent.glob("*.py"):
+            shutil.copyfile(path, copy / path.name)
+        env = {**os.environ, "PYTHONPATH": tmp, "PYTHONDONTWRITEBYTECODE": "1"}
+        for _ in range(CLI_PROBES):
+            for name, (args, first_line) in CLI_CALLS.items():
+                t0 = time.perf_counter()
+                run = subprocess.run([sys.executable, *args], cwd=tmp, env=env,
+                                     capture_output=True, text=True)
+                took = time.perf_counter() - t0
+                line = (run.stdout.splitlines() or [""])[0]
+                if first_line is None:  # an import probe: its own time, from the copy
+                    took, location = line.split() if run.returncode == 0 else (0, "")
+                    ok, took = Path(location).parent == copy, float(took)
+                else:
+                    ok = run.returncode == 0 and line == first_line
+                if not ok:
+                    raise RuntimeError(f"start-up probe {name!r}: exit {run.returncode}, "
+                                       f"stdout {run.stdout[:200]!r}, stderr {run.stderr[-500:]!r}")
+                seconds[name].append(took)
+        if list(copy.glob("__pycache__")):
+            raise RuntimeError("a start-up probe wrote a bytecode cache")
+    calls = {}
+    for name, times in seconds.items():
+        q1, median, q3 = statistics.quantiles(times, n=4)
+        calls[name] = {"measure": "wall" if CLI_CALLS[name][1] is not None else "import",
+                       "median_ms": round(median * 1e3, 3), "q1_ms": round(q1 * 1e3, 3),
+                       "q3_ms": round(q3 * 1e3, 3)}
+    return {"setting": "PYTHONDONTWRITEBYTECODE=1, package copied without bytecode caches",
+            "probes": CLI_PROBES, "calls": calls}
+
+
 def source_identity() -> tuple[str | None, str]:
     """(git describe of the package's tree or None, sha256 of its sources)."""
     package = Path(hippasus.__file__).parent
@@ -173,6 +242,10 @@ def main() -> int:
         print(f"{key:24} {op['best_s'] * 1e3:12.4f} ms  ({op['repeats']} x {op['calls_a_repeat']})",
               file=sys.stderr)
     report["peak_rss_mb"] = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
+    report["cli"] = cli_probes()
+    for name, call in report["cli"]["calls"].items():
+        print(f"{name:24} {call['median_ms']:12.4f} ms  ({call['measure']}, quartiles "
+              f"{call['q1_ms']}-{call['q3_ms']})", file=sys.stderr)
     text = json.dumps(report, indent=2) + "\n"
     if args.out:
         Path(args.out).write_text(text)

@@ -7,6 +7,11 @@ subtractive-descent decision procedure that proves membership and recovers
 the index, the Wasteels consecutive-pair criterion, and the golden-ratio
 geometry attached to the sequence (quotient convergence and the near-regular
 octagon built on Fibonacci-diameter circles).
+
+Importing the package loads the integer core only: ``fibonacci``,
+``descent`` and ``wasteels``.  The names of ``geometry`` (which loads
+``decimal``) and of ``table``, and those two submodules themselves, load on
+first use (PEP 562), so ``from hippasus import octagon`` works as before.
 """
 from .descent import (
     DescentTrace,
@@ -25,17 +30,6 @@ from .descent import (
     verify_no_exact_solution,
 )
 from .fibonacci import MAX_INDEX, cassini_residual, fib, fib_index_of, is_consecutive_fib
-from .geometry import (
-    ConvergenceRow,
-    OctagonGeometry,
-    PrecisionConfig,
-    PrecisionTooLow,
-    convergence_table,
-    octagon,
-    octagon_limits,
-    phi,
-)
-from .table import TableRow, build_rows, render, render_aligned, render_csv, render_json
 from .wasteels import WasteelsVerdict, classify, wasteels_residual
 
 __version__ = "0.1.0"
@@ -79,3 +73,29 @@ __all__ = [
     "render_json",
     "__version__",
 ]
+
+# name -> the submodule that defines it, loaded on first use by __getattr__
+_DEFERRED = {
+    **dict.fromkeys(("geometry", "ConvergenceRow", "OctagonGeometry", "PrecisionConfig",
+                     "PrecisionTooLow", "convergence_table", "octagon", "octagon_limits", "phi"),
+                    "geometry"),
+    **dict.fromkeys(("table", "TableRow", "build_rows", "render", "render_aligned", "render_csv",
+                     "render_json"), "table"),
+}
+
+
+def __getattr__(name: str):
+    home = _DEFERRED.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # the relative import ``from . import geometry`` without its fromlist,
+    # whose hasattr() check on this package would call __getattr__ again;
+    # loading the submodule binds it here, as an eager import would
+    module = __import__(home, globals(), level=1)
+    value = module if name == home else getattr(module, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_DEFERRED})

@@ -8,10 +8,10 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import geometry, table
+# geometry (and with it decimal) and table are imported inside the handlers
+# that use them, so that every other command starts without them
 from .descent import DescentTrace, _certified_trace, descend, find_exact_solution, successors
 from .fibonacci import _decide, fib
-from .geometry import PrecisionConfig, PrecisionTooLow, _convergence_rows, _digit_count
 from .wasteels import classify
 
 
@@ -37,6 +37,8 @@ def _cmd_fib(args: argparse.Namespace) -> int:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
+    from . import table
+
     rows = table.build_rows(args.max_beta)
     sys.stdout.write(table.render(rows, args.format))
     return 0
@@ -95,7 +97,9 @@ def _cmd_wasteels(args: argparse.Namespace) -> int:
 
 
 def _cmd_octagon(args: argparse.Namespace) -> int:
-    cfg = PrecisionConfig(digits=args.digits)
+    from . import geometry
+
+    cfg = geometry.PrecisionConfig(digits=args.digits)
     geo, limits, deviations = geometry._octagon_report(args.n, cfg)
     print(f"n: {geo.n}")
     print(f"digits: {cfg.digits}")
@@ -113,8 +117,10 @@ def _cmd_octagon(args: argparse.Namespace) -> int:
 
 
 def _cmd_phi_convergence(args: argparse.Namespace) -> int:
-    cfg = PrecisionConfig(digits=args.digits)
-    rows = _convergence_rows(args.n_max, cfg)  # PrecisionTooLow before any output
+    from . import geometry
+
+    cfg = geometry.PrecisionConfig(digits=args.digits)
+    rows = geometry._convergence_rows(args.n_max, cfg)  # PrecisionTooLow before any output
     print(f"phi: {geometry.phi(cfg)}")
     for row in rows:
         print(f"{row.n}  {row.ratio}  {row.error}")
@@ -173,8 +179,10 @@ def _verify_parity(bound: int) -> int:
 
 
 def _verify_convergence(bound: int) -> int:
-    digits = max(50, _digit_count(fib(bound)) + 15)
-    rows = _convergence_rows(bound, PrecisionConfig(digits=digits))
+    from . import geometry
+
+    digits = max(50, geometry._digit_count(fib(bound)) + 15)
+    rows = geometry._convergence_rows(bound, geometry.PrecisionConfig(digits=digits))
     prev = next(rows).error
     for n, _, cur in rows:
         if not abs(cur) < abs(prev):
@@ -226,7 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table", help="emit the Hippasus pair table for beta <= max-beta")
     p.add_argument("--max-beta", type=_int_at_least(1), required=True)
-    p.add_argument("--format", choices=table.FORMATS, default="aligned")
+    # table.FORMATS, restated so that building the parser does not load table
+    p.add_argument("--format", choices=("aligned", "csv", "json"), default="aligned")
     p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser("check", help="report Hippasus status, successors and descent")
@@ -265,10 +274,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except PrecisionTooLow as exc:
-        print(f"precision error: {exc}", file=sys.stderr)
-        return 3
     except ValueError as exc:
+        # a PrecisionTooLow can only come from a geometry already loaded
+        geometry = sys.modules.get("hippasus.geometry")
+        if geometry is not None and isinstance(exc, geometry.PrecisionTooLow):
+            print(f"precision error: {exc}", file=sys.stderr)
+            return 3
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

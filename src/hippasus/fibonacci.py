@@ -43,18 +43,18 @@ def _as_int(value: object, name: str, minimum: int | None = None) -> int:
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
     if minimum is not None and number < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {number}")
+        raise ValueError(f"{name} must be >= {minimum}, got {_shown(number)}")
     return number
 
 
 def _shown(n: int) -> str:
-    """str(n), or n's size where str() would pass the interpreter's int->str
-    digit limit (4,300 digits by default) and raise ValueError: messages
-    that name a value name it by this."""
+    """str(n), or n's sign and size where str() would pass the interpreter's
+    int->str digit limit (4,300 digits by default) and raise ValueError:
+    messages that name a value name it by this."""
     try:
         return str(n)
     except ValueError:
-        return f"an integer of {n.bit_length()} bits"
+        return f"{'a negative' if n < 0 else 'an'} integer of {n.bit_length()} bits"
 
 
 def _checked_make(cls, fields):

@@ -38,7 +38,7 @@ from collections import namedtuple
 from collections.abc import Iterator
 from decimal import ROUND_HALF_EVEN, Decimal, getcontext, localcontext
 
-from .fibonacci import _TABLE, _as_int, _checked_make, _in_range, _pair, fib
+from .fibonacci import _TABLE, _as_int, _checked_make, _in_range, _pair, _shown, fib
 
 _GUARD_DIGITS = 10
 
@@ -79,7 +79,7 @@ class PrecisionConfig(namedtuple("PrecisionConfig", "digits")):
     def __new__(cls, digits: int = 50) -> "PrecisionConfig":
         digits = _as_int(digits, "digits")
         if digits < 15:
-            raise PrecisionTooLow(f"digits must be >= 15, got {digits}")
+            raise PrecisionTooLow(f"digits must be >= 15, got {_shown(digits)}")
         return super().__new__(cls, digits)
 
 

@@ -113,6 +113,15 @@ class TestTable:
     def test_bad_format_is_usage_error(self):
         assert run_cli("table", "--max-beta", "10", "--format", "xml").returncode == 2
 
+    def test_format_choices_are_table_formats(self, capsys):
+        # cli.py restates table.FORMATS, so that building the parser does not
+        # load table; the help lists the parser's choices in their order
+        from hippasus import cli, table
+
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args(["table", "--help"])
+        assert f"--format {{{','.join(table.FORMATS)}}}" in capsys.readouterr().out
+
     def test_googol_bound_walks_the_sequence(self):
         # a scan over beta in 1..10**100 would never finish; the walk takes 480 steps
         r = run_cli("table", "--max-beta", str(10**100), "--format", "csv", timeout=60)
@@ -375,7 +384,7 @@ class TestVerify:
         # equivalence: about two months); the refusal comes before the loop,
         # whose per-step calls here fail at once rather than run for hours
         # (the cassini walk makes no call, so its whole runner fails)
-        from hippasus import cli
+        from hippasus import cli, geometry
 
         def loop_started(*args):
             raise AssertionError("the loop started")
@@ -384,7 +393,7 @@ class TestVerify:
             _, default, cap = cli.VERIFY_SUITES["cassini"]
             patched.setitem(cli.VERIFY_SUITES, "cassini", (loop_started, default, cap))
             patched.setattr(cli, "descend", loop_started)
-            patched.setattr(cli, "_convergence_rows", loop_started)
+            patched.setattr(geometry, "_convergence_rows", loop_started)
             for bound in (ceiling + 1, 10**12):
                 t0 = time.perf_counter()
                 assert cli.main(["verify", suite, "--bound", str(bound)]) == 2

@@ -22,6 +22,7 @@ from hippasus import (
     convergence_table,
     descend,
     fib,
+    fib_index_of,
     octagon,
     successors,
     unique_successor,
@@ -217,6 +218,27 @@ PAST_THE_LIMIT = {
         f" alpha_squared=an integer of {(BIG_NEXT**2 + 1).bit_length()} bits)",
     ),
 }
+# a refused argument past the limit is named by its sign and size, beside its bound
+NEGATIVE_SHOWN = f"a negative integer of {(10**5000).bit_length()} bits"
+PAST_THE_LIMIT.update({
+    "fib negative": (lambda: fib(-10**5000), ValueError, f"index must be >= 0, got {NEGATIVE_SHOWN}"),
+    "fib_index_of negative": (
+        lambda: fib_index_of(-10**5000), ValueError, f"n must be >= 1, got {NEGATIVE_SHOWN}",
+    ),
+    "successors negative": (
+        lambda: successors(-10**5000), ValueError, f"beta must be >= 1, got {NEGATIVE_SHOWN}",
+    ),
+    "classify negative": (
+        lambda: classify(-10**5000, 3), ValueError, f"x must be >= 1, got {NEGATIVE_SHOWN}",
+    ),
+    "build_rows negative": (
+        lambda: build_rows(-10**5000), ValueError, f"max_beta must be >= 1, got {NEGATIVE_SHOWN}",
+    ),
+    "PrecisionConfig negative": (
+        lambda: PrecisionConfig(-10**5000), PrecisionTooLow,
+        f"digits must be >= 15, got {NEGATIVE_SHOWN}",
+    ),
+})
 
 
 @pytest.mark.parametrize("name", sorted(PAST_THE_LIMIT))
@@ -229,6 +251,22 @@ def test_a_check_past_the_int_to_str_limit_raises_its_own_error(name):
             call()
     finally:
         sys.set_int_max_str_digits(before)
+    assert type(caught.value) is error
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: fib(-3), ValueError, "index must be >= 0, got -3"),
+        (lambda: build_rows(0), ValueError, "max_beta must be >= 1, got 0"),
+        (lambda: PrecisionConfig(-10**20), PrecisionTooLow,
+         "digits must be >= 15, got -100000000000000000000"),
+    ],
+)
+def test_a_refusal_below_the_limit_shows_the_value_whole(call, error, message):
+    with pytest.raises(error) as caught:
+        call()
     assert type(caught.value) is error
     assert str(caught.value) == message
 
