@@ -91,6 +91,27 @@ def by_addition(indices) -> dict[int, int]:
     return out
 
 
+# (name, size, call, check) of each small call, timed per call here and by
+# CI's "Small-call cost" step, which imports this list: most of the
+# benchmark's small_sweep ops are calls like these, whose cost is call
+# layers, not arithmetic.  150,001 is no member; 832,040 is F(29), whose
+# descend and successors read the index _decide checks.
+_SMALL = by_addition(range(31))
+_INDEX = {_SMALL[i]: i for i in range(2, 31)}
+SMALL_CALLS = (
+    ("successors", 150_001, lambda: successors(150_001), lambda r: r.successors == ()),
+    ("descend", 150_001, lambda: descend(150_001), lambda r: r is None),
+    ("successors", 832_040, lambda: successors(832_040),
+     lambda r: r.successors == (_SMALL[_INDEX[832_040] + 1],)),
+    ("descend", 832_040, lambda: descend(832_040),
+     lambda r: r is not None and r.recovered_index == _INDEX[832_040]),
+    ("classify", 6765, lambda: classify(6765, 10946),
+     lambda r: r.consecutive and r.indices == (_INDEX[6765], _INDEX[10946])),
+    ("cassini_residual", 1375, lambda: cassini_residual(1375), lambda r: r == -1),
+    ("fib_index_of", 832_040, lambda: fib_index_of(832_040), lambda r: r == _INDEX[832_040]),
+)
+
+
 def best_of(call, budget_s: float, most: int, number: int = 1) -> tuple[float, int]:
     """(best seconds a call, repeats): at least min(3, most) repeats, at most
     ``most``, and no new repeat once ``budget_s`` is spent."""
@@ -127,15 +148,7 @@ def ops(values: dict[int, int]):
                lambda r, n=n, f=f: octagon_ok(r, n, f))
     for digits in LIMITS_DIGITS:
         yield "octagon_limits", digits, lambda d=digits: octagon_limits(PrecisionConfig(d)), limits_ok
-    # CI's "Small-call cost" calls
-    small = by_addition(range(32))
-    index = {small[i]: i for i in range(2, 32)}
-    yield "successors", 150_001, lambda: successors(150_001), lambda r: r.successors == ()
-    yield "descend", 150_001, lambda: descend(150_001), lambda r: r is None
-    yield ("classify", 6765, lambda: classify(6765, 10946),
-           lambda r: r.consecutive and r.indices == (index[6765], index[10946]))
-    yield "cassini_residual", 1375, lambda: cassini_residual(1375), lambda r: r == -1
-    yield "fib_index_of", 832_040, lambda: fib_index_of(832_040), lambda r: r == index[832_040]
+    yield from SMALL_CALLS
     rows = by_addition(range(28))
     expected = [(rows[i], rows[i + 1], (-1) ** i) for i in range(27) if rows[i] <= 10**5]
     yield ("render_json", 10**5, lambda: render(build_rows(10**5), "json"),

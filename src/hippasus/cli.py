@@ -1,16 +1,18 @@
 """Command-line front-end.
 
 Exit codes are a stable contract: 0 affirmative/success, 1 negative verdict
-or counterexample found, 2 usage error, 3 precision error.
+or counterexample found, 2 usage error, 3 precision error; 141 (128 +
+SIGPIPE) when the reader closes stdout before the report ends.
 """
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 # geometry (and with it decimal) and table are imported inside the handlers
 # that use them, so that every other command starts without them
-from .descent import DescentTrace, _certified_trace, descend, find_exact_solution, successors
+from .descent import DescentTrace, descend, find_exact_solution, successors
 from .fibonacci import _decide, fib
 from .wasteels import classify
 
@@ -44,42 +46,36 @@ def _cmd_table(args: argparse.Namespace) -> int:
     return 0
 
 
-def _member(beta: int) -> tuple[DescentTrace, int] | None:
-    """(trace, F(i+1)) for beta = F(i), else None: the one certified decision
-    behind check and descent, whose lookup already holds the successor."""
-    decided = _decide(beta)
-    return None if decided is None else (_certified_trace(beta, decided[0]), decided[1])
-
-
 def _cmd_check(args: argparse.Namespace) -> int:
     beta = args.beta
-    found = _member(beta)
+    decided = _decide(beta)
     print(f"beta: {beta}")
-    if found is None:
+    if decided is None:
         print("status: not-hippasus")
         print("successors: none")
         return 1
     print("status: hippasus")
-    print("successors:", "1 2" if beta == 1 else found[1])
-    return _print_descent(*found)
+    print("successors:", "1 2" if beta == 1 else decided[1])
+    return _print_descent(beta, *decided)
 
 
 def _cmd_descent(args: argparse.Namespace) -> int:
-    found = _member(args.beta)
-    if found is None:
+    decided = _decide(args.beta)
+    if decided is None:
         print(f"not a Hippasus number: {args.beta}")
         return 1
-    return _print_descent(*found)
+    return _print_descent(args.beta, *decided)
 
 
-def _print_descent(trace: DescentTrace, alpha: int) -> int:
+def _print_descent(beta: int, i: int, alpha: int) -> int:
+    """The walk from beta = F(i), given _decide's certified (i, F(i+1)),
+    which saves the trace its own doubling."""
     # one value at a time: the whole walk from F(10**4) is 10 MB of digits
     write = sys.stdout.write
     write("descent:")
-    for value in trace._walk(alpha):
+    for value in tuple.__new__(DescentTrace, (beta, i))._walk(alpha):
         write(f" {value}")
-    write("\n")
-    print(f"fibonacci_index: {trace.recovered_index}")
+    write(f"\nfibonacci_index: {i}\n")
     return 0
 
 
@@ -290,4 +286,13 @@ def entry() -> None:
     # process only, so that main() called in-process leaves it alone
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (`| head`): send what is still buffered
+        # to devnull, so that the flush at exit is silent, and exit as a
+        # shell reports a process ended by SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)

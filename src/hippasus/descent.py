@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterator
 
-from .fibonacci import _as_int, _checked_make, _decide, _index_by_magnitude, _pair, _shown, fib
+from .fibonacci import _as_int, _checked_make, _decide, _pair, _shown, fib
 
 
 class NotHippasusError(ValueError):
@@ -71,12 +71,18 @@ class HippasusPair(namedtuple("HippasusPair", "beta alpha sign")):
 
     @classmethod
     def from_beta_alpha(cls, beta: int, alpha: int) -> "HippasusPair":
-        """Build a pair from its two members, deriving the sign from the residual."""
-        residual = hippasus_residual(beta, alpha)
+        """Build a pair from its two members, deriving the sign from the residual.
+
+        A residual of +/-1 is all ``__new__`` would check: for beta >= 2 and
+        1 <= alpha < beta the residual is beta**2 + alpha*(beta - alpha) > 1,
+        so the pair is built once, by ``tuple.__new__``.
+        """
+        beta, alpha = _as_int(beta, "beta", 1), _as_int(alpha, "alpha", 1)
+        residual = beta * (beta + alpha) - alpha * alpha
         if residual not in (1, -1):
             shown = f"{_shown(beta)}, {_shown(alpha)}"
             raise NotHippasusError(f"({shown}) has residual {_shown(residual)}; not a Hippasus pair")
-        return cls(beta, alpha, residual)
+        return tuple.__new__(cls, (beta, alpha, residual))
 
 
 class SuccessorSet(namedtuple("SuccessorSet", "beta successors")):
@@ -97,8 +103,9 @@ class DescentTrace(namedtuple("DescentTrace", "beta recovered_index")):
 
     Descent from beta = F(i) visits F(i), F(i-1), ..., F(0), so the trace is
     fixed by ``beta`` and ``recovered_index`` = i, and fib(i) == beta is all
-    there is to check; ``descend`` checks i by beta's size instead (see
-    ``_certified_trace``).  ``steps`` rebuilds the walk on each access.
+    there is to check; ``descend`` builds its trace by ``tuple.__new__``
+    from ``_decide``'s answer, whose index is checked by beta's size
+    instead.  ``steps`` rebuilds the walk on each access.
     """
 
     __slots__ = ()
@@ -126,20 +133,6 @@ class DescentTrace(namedtuple("DescentTrace", "beta recovered_index")):
         for _ in range(self.recovered_index + 1):
             yield b
             b, a = a - b, b
-
-
-def _certified_trace(beta: int, i: int) -> DescentTrace:
-    """DescentTrace(beta, i) for a beta that ``_decide`` has certified as a
-    member with index i, without the trace's second doubling.
-
-    The bracket certifies the values, so what is left to check is the index:
-    a lookup that found the right values under a wrong i raises RuntimeError.
-    """
-    if i != (0 if beta == 1 else _index_by_magnitude(beta)):
-        raise RuntimeError(
-            f"index lookup gave {i} for a beta of {beta.bit_length()} bits, whose magnitude disagrees"
-        )
-    return tuple.__new__(DescentTrace, (beta, i))
 
 
 def successors(beta: int) -> SuccessorSet:
@@ -187,16 +180,15 @@ def extend(pair: HippasusPair) -> HippasusPair:
 def descend(beta: int) -> DescentTrace | None:
     """Decide membership by the successor search; None means not Hippasus.
 
-    A member's descent is the walk F(i), ..., F(0), fixed by i, and i comes
-    from the index lookup that certified beta, checked against beta's
-    magnitude: a member costs one doubling and one certificate.  ``steps``
-    and the CLI run the paper's step from F(i).  beta = 1 returns the
-    degenerate single-entry trace with index 0.
+    A member's descent is the walk F(i), ..., F(0), fixed by i, and i is
+    ``_decide``'s, certified with the values: a member costs one doubling
+    and one certificate.  ``steps`` and the CLI run the paper's step from
+    F(i).  beta = 1 returns the degenerate single-entry trace with index 0.
     """
     if type(beta) is not int or beta < 1:  # as in successors
         beta = _as_int(beta, "beta", 1)
     decided = _decide(beta)
-    return None if decided is None else _certified_trace(beta, decided[0])
+    return None if decided is None else tuple.__new__(DescentTrace, (beta, decided[0]))
 
 
 def is_fibonacci_by_descent(beta: int) -> bool:

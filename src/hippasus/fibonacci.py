@@ -85,27 +85,6 @@ def _pair(i: int) -> tuple[int, int]:
     return _last_step(a * a, b * b, i + 1)
 
 
-def _certified_pair(i: int) -> tuple[int, int]:
-    """``_pair(i)``, with the input of its top doubling step checked at the
-    cost of one half-size squaring; ``_locate`` runs it for ``_decide``.
-
-    The step takes (a, b) = (G(k-1), G(k)) = ``_pair(k - 2)``, k = (i+1) // 2,
-    with 2*(-1)**k = -2*eps, where eps = b**2 - a*b - a**2.  This checks
-    (2b - a)**2 - 5*a**2 = 4*eps, reusing a**2, and raises RuntimeError if it
-    fails.  Once it holds, the step's output, read as u + v*phi in Z[phi], is
-    (a + b*phi)**2 or that times phi, and a + b*phi has norm
-    a**2 + a*b - b**2 = -eps = +/-1; the norm is multiplicative, so the
-    output pair has norm +/-1 too, whatever the lower levels computed.
-    """
-    if i + 1 < len(_TABLE):
-        return _TABLE[i], _TABLE[i + 1]
-    a, b = _pair((i + 1) // 2 - 2)
-    aa = a * a
-    if (2 * b - a) ** 2 - 5 * aa != (4 if (i + 1) & 2 else -4):
-        raise RuntimeError(f"the doubling to F({i}) met a pair whose norm does not certify it")
-    return _last_step(aa, b * b, i + 1)
-
-
 def _last_step(aa: int, bb: int, m: int) -> tuple[int, int]:
     """(G(m), G(m+1)) from G(k-1)**2 and G(k)**2, k = m // 2: one doubling
     step, by the formulas in ``_pair``; 2*(-1)**k is -2 exactly when m & 2
@@ -134,15 +113,31 @@ def _in_range(i: int) -> int:
 
 
 def _locate(n: int) -> tuple[int, int, int]:
-    """(i, F(i), F(i+1)) for the smallest i with F(i) >= n, for any n >= 1.
+    """(i, F(i), F(i+1)) for the smallest i with F(i) >= n, for any n >= 1;
+    ``_decide``'s lookup, the one that certifies what it doubles.
 
     The walk starts at ``_index_by_magnitude(n)``, which is within one step
     of the answer (at every n < 20,000, at F(k) - 1, F(k) and F(k) + 1 for
     k < 3,000, and at 20,000 random n up to 2**200,000), and corrects it by
-    single steps along the sequence.
+    single steps along the sequence.  Its start is read from the table, or
+    doubled with the top step's input checked at the cost of one half-size
+    squaring.  That step takes (a, b) = (G(k-1), G(k)) = ``_pair(k - 2)``,
+    k = (i+1) // 2, with 2*(-1)**k = -2*eps, where eps = b**2 - a*b - a**2.
+    The check is (2b - a)**2 - 5*a**2 = 4*eps, reusing a**2, and a failure
+    raises RuntimeError.  Once it holds, the step's output, read as
+    u + v*phi in Z[phi], is (a + b*phi)**2 or that times phi, and a + b*phi
+    has norm a**2 + a*b - b**2 = -eps = +/-1; the norm is multiplicative, so
+    the output pair has norm +/-1 too, whatever the lower levels computed.
     """
     i = _index_by_magnitude(n)
-    a, b = _certified_pair(i)
+    if i + 1 < len(_TABLE):
+        a, b = _TABLE[i], _TABLE[i + 1]
+    else:  # _pair(i), its top step's input checked
+        a, b = _pair((i + 1) // 2 - 2)
+        aa = a * a
+        if (2 * b - a) ** 2 - 5 * aa != (4 if (i + 1) & 2 else -4):
+            raise RuntimeError(f"the doubling to F({i}) met a pair whose norm does not certify it")
+        a, b = _last_step(aa, b * b, i + 1)
     while a < n:
         i, a, b = i + 1, b, a + b
     while b - a >= n:  # F(i-1) = F(i+1) - F(i)
@@ -160,8 +155,8 @@ def _index_by_magnitude(beta: int) -> int:
     math.log2 reads beta's top bits, so the float error is about i * 1e-16
     of an index: the rounding is exact for every i a machine could hold.
     A non-member gets an index too, so the index alone decides nothing:
-    ``_locate`` walks from it for ``_decide``, whose callers check a
-    member's index against it, and ``fib_index_of`` and
+    ``_locate`` walks from it for ``_decide``, which checks a member's
+    lookup index against it, and ``fib_index_of`` and
     ``is_consecutive_fib`` compare ``_pair`` at it with their arguments,
     which is their whole answer, since a member's index is exact.
     """
@@ -207,22 +202,23 @@ def _decide(beta: int) -> tuple[int, int] | None:
     N = high**2 - low*high - low**2 is +/-1 is a pair of consecutive
     Fibonacci numbers, with none strictly between, so beta is a member iff
     beta = high; the step up gives (high, F(i+1)) the opposite norm, so it
-    certifies the "yes" too.  The certificate covers the values, not i:
-    callers that publish i check it against ``_index_by_magnitude``.
+    certifies the "yes" too.  The certificate covers the values, not i, so
+    a member's i must also equal ``_index_by_magnitude(beta)``, exact for
+    every member >= 2; a lookup that found the right values under a wrong
+    i raises RuntimeError.
 
     Where the pair was doubled, past the table, its norm is +/-1 by proof,
     not by the full-size check 4*N = (2*high - low)**2 - 5*low**2, which
     would cost two squarings of the answer's size (63 of 93 ms at F(10**6)):
-    ``_certified_pair`` checks the input of the doubling's top step, the
-    unchecked ``_pair`` at half the index, at half size, norms multiply, and
-    ``_locate``'s single steps by addition keep |N| = 1.  What the proof
-    assumes is that those few lines compute what they say; a bug anywhere in
-    them, or a lookup that returns other values, would still pass it.  So
-    4*N is also read modulo the Mersenne prime 2**61 - 1, in O(n): a wrong
-    pair passes that guard only if its 4*N is congruent to +/-4, which a
-    fault has no reason to arrange.  Inside the table the exact 4*N costs
-    less than the reductions and is kept.  A failed check raises
-    RuntimeError.
+    ``_locate`` checks the input of its doubling's top step, the unchecked
+    ``_pair`` at half the index, at half size, norms multiply, and its
+    single steps by addition keep |N| = 1.  What the proof assumes is that
+    those few lines compute what they say; a bug anywhere in them, or a
+    lookup that returns other values, would still pass it.  So 4*N is also
+    read modulo the Mersenne prime 2**61 - 1, in O(n): a wrong pair passes
+    that guard only if its 4*N is congruent to +/-4, which a fault has no
+    reason to arrange.  Inside the table the exact 4*N costs less than the
+    reductions and is kept.  A failed check raises RuntimeError.
     """
     if beta == 1:
         return 0, 1
@@ -240,6 +236,9 @@ def _decide(beta: int) -> tuple[int, int] | None:
         # sizes, not values: str() of a value past 4,300 digits would raise
         raise RuntimeError(f"index lookup gave a pair at index {i} that does not certify"
                            f" beta ({beta.bit_length()} bits)")
+    if beta == high and i != _index_by_magnitude(beta):
+        raise RuntimeError(f"index lookup gave {i} for a beta of {beta.bit_length()} bits,"
+                           " whose magnitude disagrees")
     return (i, alpha) if beta == high else None
 
 

@@ -219,8 +219,9 @@ class TestCheck:
         from hippasus import cli, fibonacci
 
         monkeypatch.setattr(fibonacci, "_locate", lambda b: lookup)
-        with pytest.raises(RuntimeError, match="magnitude disagrees"):
-            cli.main(["check", "13"])
+        for command in ("check", "descent"):
+            with pytest.raises(RuntimeError, match="magnitude disagrees"):
+                cli.main([command, "13"])
 
 
 class TestDescent:
@@ -458,6 +459,30 @@ class TestVerify:
 
 def test_no_subcommand_is_usage_error():
     assert run_cli().returncode == 2
+
+
+@pytest.mark.parametrize("command", ["fib", "descent"])
+def test_a_closed_stdout_exits_141_without_a_traceback(command):
+    # the reader takes 10 bytes and closes the pipe: F(10**6) is 209 kB of
+    # digits and the walk from F(30000) about 94 MB, so the CLI is still
+    # writing; it exits 141 (128 + SIGPIPE), as a shell reports for `cat`
+    from hippasus import fib
+
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        argument = "1000000" if command == "fib" else str(fib(30_000))
+    finally:
+        sys.set_int_max_str_digits(before)
+    with subprocess.Popen([sys.executable, "-m", "hippasus", command, argument],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        head = proc.stdout.read(10)
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert len(head) == 10
+    assert code == 141
+    assert stderr == b""
 
 
 def expand(token: str) -> str:

@@ -200,6 +200,20 @@ class TestHippasusPair:
         assert HippasusPair.from_beta_alpha(8, 13).sign == -1
         with pytest.raises(NotHippasusError):
             HippasusPair.from_beta_alpha(4, 6)
+        # the record the validating constructor builds, and alpha < beta is
+        # refused by its residual, not by the constructor's order check
+        for beta, alpha, sign in ((1, 1, 1), (1, 2, -1), (8, 13, -1), (fib(300), fib(301), 1)):
+            pair = HippasusPair.from_beta_alpha(beta, alpha)
+            assert pair == HippasusPair(beta, alpha, sign) and type(pair) is HippasusPair
+        with pytest.raises(NotHippasusError, match="residual 31"):
+            HippasusPair.from_beta_alpha(5, 3)
+        # each argument is converted first, beta before alpha
+        with pytest.raises(ValueError, match="beta must be >= 1"):
+            HippasusPair.from_beta_alpha(0, 1.5)
+        with pytest.raises(ValueError, match="alpha must be an integer"):
+            HippasusPair.from_beta_alpha(1, 1.5)
+        with pytest.raises(ValueError, match="alpha must be >= 1"):
+            HippasusPair.from_beta_alpha(1, 0)
 
     def test_rejects_wrong_sign(self):
         with pytest.raises(ValueError):
@@ -468,7 +482,7 @@ class TestJump:
         # certifies
         beta = SIEVE_PASS_101
         index = fibonacci._index_by_magnitude(beta)
-        calls = {"_sieve_rejects": [], "_locate": [], "_certified_pair": [], "_pair": []}
+        calls = {"_sieve_rejects": [], "_locate": [], "_pair": []}
 
         def spy(name):
             real = getattr(fibonacci, name)
@@ -481,9 +495,8 @@ class TestJump:
 
         for name in calls:
             monkeypatch.setattr(fibonacci, name, spy(name))
-        certified = {"_sieve_rejects": [beta], "_locate": [beta],
-                     "_certified_pair": [index], "_pair": []}
-        by_value = {"_sieve_rejects": [beta], "_locate": [], "_certified_pair": [], "_pair": [index]}
+        certified = {"_sieve_rejects": [beta], "_locate": [beta], "_pair": []}
+        by_value = {"_sieve_rejects": [beta], "_locate": [], "_pair": [index]}
         for answer, refusal, expected in (
             (lambda: descend(beta), None, certified),
             (lambda: fib_index_of(beta), None, by_value),
@@ -532,10 +545,12 @@ class TestJump:
         ],
     )
     def test_lookup_with_a_wrong_index_raises(self, monkeypatch, beta, lookup):
-        # the bracket certifies the values; the magnitude checks the index
+        # the bracket certifies the values; the magnitude checks the index,
+        # in _decide, for every entry point that reads a member's lookup
         monkeypatch.setattr(fibonacci, "_locate", lambda b: lookup)
-        with pytest.raises(RuntimeError, match="magnitude disagrees"):
-            descend(beta)
+        for answer in (descend, successors, unique_successor):
+            with pytest.raises(RuntimeError, match="magnitude disagrees"):
+                answer(beta)
 
     def test_one_doubling_per_member(self, monkeypatch):
         # the lookup's doubling, to F(5000) = G(5001), is the only one: one

@@ -10,7 +10,6 @@ import pytest
 from hippasus import fibonacci
 from hippasus.fibonacci import (
     MAX_INDEX,
-    _certified_pair,
     _decide,
     _index_by_magnitude,
     _locate,
@@ -75,7 +74,10 @@ class TestPair:
     def test_matches_one_addition_walk(self):
         a, b = 1, 1  # F(i), F(i+1)
         for i in range(5001):
-            assert _pair(i) == _certified_pair(i) == (a, b), i
+            assert _pair(i) == (a, b), i
+            # the certified lookup of F(i) starts from the same pair;
+            # F(1) = 1 is F(0), the smaller index
+            assert i == 1 or _locate(a) == (i, a, b), i
             a, b = b, a + b
 
     def test_bit_patterns_of_i_plus_one(self):
