@@ -41,8 +41,12 @@ def _cmd_fib(args: argparse.Namespace) -> int:
 def _cmd_table(args: argparse.Namespace) -> int:
     from . import table
 
-    rows = table.build_rows(args.max_beta)
-    sys.stdout.write(table.render(rows, args.format))
+    text = table.render(table.build_rows(args.max_beta), args.format)
+    # in 1 MiB slices: CPython drops the EPIPE of one large write that the
+    # reader cut short (`| head`), and the call would exit 0, its output cut
+    step = 1 << 20
+    for start in range(0, len(text), step):
+        sys.stdout.write(text[start:start + step])
     return 0
 
 

@@ -27,9 +27,10 @@ whose cost grows as the square of the digit count, to ten digits past the
 target; ``_sqrt`` rounds once when those ten digits show no rounding
 boundary near, hands the rare root that lies near one to ``Decimal.sqrt``,
 and so returns the same correctly rounded value (``octagon_limits`` at
-10**4 digits: 14 ms, against 175 ms with ``Decimal.sqrt``, on a 2-vCPU VM
-with Python 3.11).  Fibonacci operands longer than the precision are halved
-and rounded on entry by ``_halves``, not converted whole.
+10**4 digits: 7.9 ms, best of 15 in ``BENCH_30.json``, against 175 ms with
+``Decimal.sqrt``, on a 2-vCPU VM with Python 3.11).  Fibonacci operands
+longer than the precision are halved and rounded on entry by ``_halves``,
+not converted whole.
 """
 from __future__ import annotations
 

@@ -25,6 +25,7 @@ from hippasus.descent import (
 from hippasus.fibonacci import cassini_residual, fib_index_of
 from hippasus.geometry import PrecisionConfig, convergence_table, octagon, octagon_limits
 from hippasus.wasteels import classify, is_consecutive_fib
+from oracles import walk
 
 GOLDEN = Path(__file__).parent / "golden" / "table_max_beta_1000.txt"
 
@@ -40,15 +41,6 @@ def report(number: int, label: str, ok: bool, detail: str = "") -> bool:
     suffix = f"  ({detail})" if detail else ""
     print(f"[{status}] criterion {number:2d}: {label}{suffix}")
     return ok
-
-
-def fib_values_up_to(limit: int) -> frozenset[int]:
-    values = set()
-    a, b = 1, 1
-    while a <= limit:
-        values.add(a)
-        a, b = b, a + b
-    return frozenset(values)
 
 
 def truncate_sig(x: Decimal, sig: int) -> Decimal:
@@ -91,7 +83,7 @@ def test_criterion_2_cassini_identity():
 
 
 def test_criterion_3_characterization_equivalence():
-    members = fib_values_up_to(10**6)
+    members = frozenset(a for _, a, _ in walk(10**6))
     t0 = time.perf_counter()
     positives = 0
     first_bad = None

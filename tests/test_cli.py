@@ -12,6 +12,8 @@ from pathlib import Path
 
 import pytest
 
+from oracles import fib_by_addition, walk
+
 GOLDEN = Path(__file__).parent / "golden" / "table_max_beta_1000.txt"
 
 # one CLI call a line: argv <TAB> exit code <TAB> sha256(stdout) <TAB> sha256(stderr),
@@ -122,17 +124,29 @@ class TestTable:
             cli.build_parser().parse_args(["table", "--help"])
         assert f"--format {{{','.join(table.FORMATS)}}}" in capsys.readouterr().out
 
-    def test_googol_bound_walks_the_sequence(self):
-        # a scan over beta in 1..10**100 would never finish; the walk takes 480 steps
-        r = run_cli("table", "--max-beta", str(10**100), "--format", "csv", timeout=60)
-        assert r.returncode == 0
-        data = [tuple(map(int, line.split(",")[:2])) for line in r.stdout.splitlines()[1:]]
-        expected, a, b = [], 1, 1  # (F(i), F(i+1)) by plain addition
-        while a <= 10**100:
-            expected.append((a, b))
-            a, b = b, a + b
-        assert len(data) == 480
-        assert data == expected
+    @pytest.mark.parametrize("fmt, exponent", [
+        ("csv", 100),
+        # alpha_squared passes the interpreter's default 4,300-digit int->str
+        # limit near beta = 10**2150, and only entry() lifts it: 10,528 rows,
+        # up to 139 MB of text (about 25 s for the three)
+        *(pytest.param(fmt, 2200, marks=pytest.mark.gate) for fmt in ("aligned", "csv", "json")),
+    ])
+    def test_bound_walks_the_sequence(self, fmt, exponent):
+        # a scan over beta in 1..10**100 would never finish; the walk takes 480 steps.
+        # Row i is (F(i), F(i+1)) of sign (-1)**i
+        from hippasus.table import TableRow
+        from test_table import ORACLES, first_difference
+
+        bound = 10**exponent
+        r = run_cli("table", "--max-beta", str(bound), "--format", fmt, timeout=300)
+        assert r.returncode == 0, r.stderr[-500:]
+        rows = [TableRow(a, b, a + b, (-1) ** i, b * b) for i, a, b in walk(bound)]
+        before = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)  # for the reference, as entry() does
+        try:
+            assert first_difference(r.stdout, ORACLES[fmt](rows)) is None
+        finally:
+            sys.set_int_max_str_digits(before)
 
 
 class TestCheck:
@@ -241,16 +255,14 @@ class TestDescent:
             raise AssertionError("steps built")
 
         monkeypatch.setattr(DescentTrace, "steps", property(unbuilt))
-        a, b = 1, 1
-        for _ in range(300):
-            a, b = b, a + b
-        walk, x, y = [], a, b
-        while len(walk) < 301:
-            walk.append(x)
+        a, b = fib_by_addition(301), fib_by_addition(302)  # F(300), F(301)
+        descent, x, y = [], a, b
+        while len(descent) < 301:
+            descent.append(x)
             x, y = y - x, x
         assert cli.main([command, str(a)]) == 0
         out = capsys.readouterr().out
-        assert f"descent: {' '.join(map(str, walk))}\nfibonacci_index: 300\n" in out
+        assert f"descent: {' '.join(map(str, descent))}\nfibonacci_index: 300\n" in out
 
     def test_non_member(self):
         assert run_cli("descent", "12").returncode == 1
@@ -334,11 +346,16 @@ class TestPhiConvergence:
 
 
 class TestVerify:
-    def test_suites_pass(self):
-        assert run_cli("verify", "cassini", "--bound", "200").returncode == 0
-        assert run_cli("verify", "equivalence", "--bound", "5000").returncode == 0
-        assert run_cli("verify", "parity", "--bound", "500").returncode == 0
-        assert run_cli("verify", "convergence", "--bound", "30").returncode == 0
+    @pytest.mark.parametrize("bounds", [
+        pytest.param({"cassini": 200, "equivalence": 5000, "parity": 500, "convergence": 30},
+                     id="small"),
+        # every beta up to 10**6: the sieve and the bracket certificate
+        # against the suite's sequence walk (about 2 s)
+        pytest.param({"equivalence": 10**6}, id="equivalence-1000000", marks=pytest.mark.gate),
+    ])
+    def test_suites_pass(self, bounds):
+        for suite, bound in bounds.items():
+            assert run_cli("verify", suite, "--bound", str(bound)).returncode == 0, suite
 
     def test_convergence_past_the_fixed_guard(self):
         # each error cancels about 2*log10(F(n)) digits; carrying only the
@@ -461,20 +478,20 @@ def test_no_subcommand_is_usage_error():
     assert run_cli().returncode == 2
 
 
-@pytest.mark.parametrize("command", ["fib", "descent"])
-def test_a_closed_stdout_exits_141_without_a_traceback(command):
+@pytest.mark.parametrize("call", ["fib 1000000", "descent F(30000)", "table --max-beta 10**300"],
+                         ids=["fib", "descent", "table"])
+def test_a_closed_stdout_exits_141_without_a_traceback(call):
     # the reader takes 10 bytes and closes the pipe: F(10**6) is 209 kB of
-    # digits and the walk from F(30000) about 94 MB, so the CLI is still
-    # writing; it exits 141 (128 + SIGPIPE), as a shell reports for `cat`
-    from hippasus import fib
-
+    # digits, the walk from F(30000) about 94 MB and the table 2.6 MB, so
+    # the CLI is still writing; it exits 141 (128 + SIGPIPE), as a shell
+    # reports for `cat`
     before = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
+    sys.set_int_max_str_digits(0)  # F(30000) has 6,270 digits
     try:
-        argument = "1000000" if command == "fib" else str(fib(30_000))
+        argv = [expand(token) for token in call.split()]
     finally:
         sys.set_int_max_str_digits(before)
-    with subprocess.Popen([sys.executable, "-m", "hippasus", command, argument],
+    with subprocess.Popen([sys.executable, "-m", "hippasus", *argv],
                           stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
         head = proc.stdout.read(10)
         proc.stdout.close()
@@ -493,9 +510,7 @@ def expand(token: str) -> str:
         return token
     index, base, exponent, offset = match.groups()
     if index is not None:
-        value, following = 1, 1  # F(n) by plain addition
-        for _ in range(int(index)):
-            value, following = following, value + following
+        value = fib_by_addition(int(index) + 1)  # the package's F(n)
     else:
         value = int(base) ** int(exponent)
     return str(value + int(offset or 0))
@@ -542,11 +557,12 @@ def test_manifest_replays_byte_identical_in_process(monkeypatch):
 
 
 def test_write_manifest_refuses_when_hippasus_does_not_import(tmp_path):
-    # a copy of this file and of the manifest, run with a hippasus on
-    # PYTHONPATH whose import raises: the writer must exit non-zero and leave
-    # the manifest's bytes alone
+    # a copy of this file, the oracles it imports and the manifest, run
+    # with a hippasus on PYTHONPATH whose import raises: the writer must
+    # exit non-zero and leave the manifest's bytes alone
     (tmp_path / "golden").mkdir()
-    (tmp_path / "test_cli.py").write_bytes(Path(__file__).read_bytes())
+    for name in ("test_cli.py", "oracles.py"):
+        (tmp_path / name).write_bytes((Path(__file__).parent / name).read_bytes())
     manifest = tmp_path / "golden" / MANIFEST.name
     manifest.write_bytes(MANIFEST.read_bytes())
     stub = tmp_path / "stub" / "hippasus"

@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+from itertools import islice
 from math import isqrt
 
 import pytest
@@ -23,6 +24,7 @@ from hippasus.descent import (
     verify_no_exact_solution,
 )
 from hippasus.fibonacci import MAX_INDEX, fib, fib_index_of, is_consecutive_fib
+from oracles import walk
 
 # prints the VmHWM raise (kB) across descend(F(10^5)), then the index found
 RSS_CHECK = """
@@ -119,12 +121,11 @@ def descend_by_walk(beta: int) -> DescentTrace | None:
 
 def pisano_residues(m: int) -> set[int]:
     """Reference: every F(i) mod m, from one full period of the sequence mod m."""
-    seen, a, b = set(), 1 % m, 1 % m
-    while True:
-        seen.add(a)
-        a, b = b, (a + b) % m
-        if (a, b) == (1 % m, 1 % m):
+    seen = set()
+    for i, a, b in walk():
+        if i and (a % m, b % m) == (1 % m, 1 % m):
             return seen
+        seen.add(a % m)
 
 
 def square_residues(m: int) -> set[int]:
@@ -269,10 +270,8 @@ class TestSuccessors:
 
     def test_matches_closed_form_and_walk_on_every_small_beta(self):
         index = {}
-        a, b, i = 1, 1, 0
-        while a <= 2 * 10**5:
+        for i, a, _ in walk(2 * 10**5):
             index.setdefault(a, i)
-            a, b, i = b, a + b, i + 1
         for beta in range(1, 2 * 10**5 + 1):
             assert successors(beta).successors == successors_by_isqrt(beta), beta
             trace = descend(beta)
@@ -596,11 +595,9 @@ class TestSieve:
         assert disagree == []
 
     def test_expression_is_the_loop_near_fibonacci_numbers(self):
-        a, b = 1, 1  # F(k), F(k+1)
-        for k in range(3000):
+        for k, a, _ in islice(walk(), 3000):
             for n in range(max(a - 2, 1), a + 3):
                 assert fibonacci._sieve_rejects(n) == sieve_rejects_by_loop(n), (k, n - a)
-            a, b = b, a + b
 
     def test_expression_is_the_loop_on_large_random_values(self):
         rng = random.Random(25)
@@ -642,11 +639,7 @@ class TestCassiniCorrespondence:
 
 class TestEquivalence:
     def test_three_routes_agree_on_range(self):
-        members = set()
-        a, b = 1, 1
-        while a <= 20_000:
-            members.add(a)
-            a, b = b, a + b
+        members = {a for _, a, _ in walk(20_000)}
         for beta in range(1, 20_001):
             expected = beta in members
             assert is_fibonacci_by_descent(beta) == expected

@@ -1,5 +1,7 @@
 """Hypothesis properties of the descent, Cassini and Wasteels laws at sizes the
 exhaustive loops do not reach."""
+from itertools import islice
+
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -26,19 +28,12 @@ from hippasus.fibonacci import (  # noqa: E402
     is_consecutive_fib,
 )
 from hippasus.wasteels import classify, wasteels_residual  # noqa: E402
+from oracles import walk  # noqa: E402
 from test_descent import descend_by_walk, successors_by_isqrt  # noqa: E402
 from test_fibonacci import norm_by_full_size, pair_by_three_products  # noqa: E402
 
 indices = st.integers(min_value=2, max_value=10**4)
 relaxed = settings(deadline=None)
-
-
-def fib_prefix_by_addition(i: int) -> list[int]:
-    """Reference: [F(0), ..., F(i)] by plain iterative addition."""
-    prefix = [1, 1]
-    while len(prefix) <= i:
-        prefix.append(prefix[-1] + prefix[-2])
-    return prefix[: i + 1]
 
 
 @relaxed
@@ -106,7 +101,7 @@ def test_pair_lies_inside_the_window(draw):
 def test_steps_are_reversed_prefix(i):
     steps = descend(fib(i)).steps
     assert type(steps) is tuple
-    assert steps == tuple(reversed(fib_prefix_by_addition(i)))
+    assert steps == tuple(reversed([a for _, a, _ in islice(walk(), i + 1)]))
 
 
 @relaxed

@@ -3,6 +3,7 @@ import subprocess
 import sys
 import threading
 import time
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -20,26 +21,7 @@ from hippasus.fibonacci import (
     fib_index_of,
     is_consecutive_fib,
 )
-
-
-def fib_by_addition(k: int) -> int:
-    """Independent oracle: conventional F(0)=0, F(1)=1 by plain iterative addition."""
-    a, b = 0, 1
-    for _ in range(k):
-        a, b = b, a + b
-    return a
-
-
-def first_index_at_least(targets: list[int]) -> dict[int, tuple[int, int, int]]:
-    """Independent oracle, one plain walk for all targets: for each n >= 1,
-    (i, F(i), F(i+1)) with i the smallest index having F(i) >= n."""
-    found = {}
-    i, a, b = 0, 1, 1
-    for n in sorted(set(targets)):
-        while a < n:
-            i, a, b = i + 1, b, a + b
-        found[n] = (i, a, b)
-    return found
+from oracles import fib_by_addition, first_index_at_least, walk
 
 
 def pair_by_three_products(i: int) -> tuple[int, int]:
@@ -72,13 +54,11 @@ def norm_by_full_size(low: int, high: int) -> int:
 
 class TestPair:
     def test_matches_one_addition_walk(self):
-        a, b = 1, 1  # F(i), F(i+1)
-        for i in range(5001):
+        for i, a, b in islice(walk(), 5001):
             assert _pair(i) == (a, b), i
             # the certified lookup of F(i) starts from the same pair;
             # F(1) = 1 is F(0), the smaller index
             assert i == 1 or _locate(a) == (i, a, b), i
-            a, b = b, a + b
 
     def test_bit_patterns_of_i_plus_one(self):
         # i + 1 = 2**k - 1 is all ones and 2**k a single one, so the sign
@@ -95,16 +75,22 @@ class TestCertificate:
     """_decide's bracket is certified at half size inside the doubling and
     guarded modulo 2**61 - 1; the full-size norm is the oracle."""
 
-    def test_decide_against_the_full_size_norm_to_20000(self):
-        a, b = 5, 8  # F(4), F(5), by addition; F(3) - 1 = 2 and F(3) + 1 = 5 are members
-        for i in range(4, 20_001):
+    @pytest.mark.parametrize("top", [20_000, pytest.param(40_000, marks=pytest.mark.gate)])
+    def test_decide_against_the_full_size_norm(self, top):
+        # from F(4) = 5: F(3) - 1 = 2 and F(3) + 1 = 5 are members.
+        # fib_index_of and is_consecutive_fib read the pair at the index by
+        # magnitude, with no certificate, so the walk checks them too
+        for i, a, b in islice(walk(), 4, top + 1):
             for beta in (a - 1, a, a + 1):
-                assert _decide(beta) == ((i, b) if beta == a else None), (i, beta - a)
+                member = beta == a
+                assert _decide(beta) == ((i, b) if member else None), (i, beta - a)
+                assert fib_index_of(beta) == (i if member else None), (i, beta - a)
                 if not _sieve_rejects(beta):
                     _, high, alpha = _locate(beta)
                     low = alpha - high
-                    assert 0 < low < beta <= high and norm_by_full_size(low, high) in (4, -4)
-            a, b = b, a + b
+                    assert 0 < low < beta <= high and norm_by_full_size(low, high) in (4, -4), (
+                        i, beta - a)
+            assert is_consecutive_fib(a, b) and not is_consecutive_fib(a, b + 1), i
 
     @pytest.mark.parametrize(
         "mutation",
@@ -259,19 +245,22 @@ class TestFibIndexOf:
         with pytest.raises(ValueError):
             fib_index_of(0)
 
-    def test_matches_walk_on_small_range(self):
-        walk = first_index_at_least(list(range(1, 20_001)))
-        for n in range(1, 20_001):
-            i, value, _ = walk[n]
-            assert fib_index_of(n) == (i if value == n else None), n
+    @pytest.mark.parametrize("top", [20_000, pytest.param(10**6, marks=pytest.mark.gate)])
+    def test_matches_walk_on_every_n(self, top):
+        # the sieve, then the lookup
+        index = {}
+        for i, a, _ in walk(top):
+            index.setdefault(a, i)  # F(1) = 1 is F(0), the smaller index
+        for n in range(1, top + 1):
+            assert fib_index_of(n) == index.get(n), n
 
     def test_matches_walk_near_memo_limit_and_beyond(self):
         indices = [2_046, 2_047, 2_048, 2_049, 9_998, 9_999, 10_000, 10_001, 10_002, 100_000]
         values = {i: fib_by_addition(i + 1) for i in indices}
         targets = [v + d for v in values.values() for d in (-1, 0, 1)]
-        walk = first_index_at_least(targets)
+        found = first_index_at_least(targets)
         for n in targets:
-            i, value, _ = walk[n]
+            i, value, _ = found[n]
             assert fib_index_of(n) == (i if value == n else None)
         for i, value in values.items():
             assert fib_index_of(value) == i
@@ -281,9 +270,9 @@ class TestFibIndexOf:
         # its start is read from the table up to F(2047) and doubled past it
         values = [fib_by_addition(i + 1) for i in range(2051)]
         targets = [v + d for v in values for d in (-1, 0, 1) if v + d >= 1]
-        walk = first_index_at_least(targets)
+        found = first_index_at_least(targets)
         for n in targets:
-            assert _locate(n) == walk[n], n
+            assert _locate(n) == found[n], n
 
     def test_accepts_values_beyond_max_index(self):
         beyond = fib(MAX_INDEX) + fib(MAX_INDEX - 1)  # F(MAX_INDEX + 1)
@@ -292,12 +281,11 @@ class TestFibIndexOf:
 
 
 class TestIndexByMagnitude:
-    def test_every_member_to_index_20000(self):
+    @pytest.mark.parametrize("top", [20_000, pytest.param(10**6, marks=pytest.mark.gate)])
+    def test_every_member_to_index(self, top):
         # from F(2) = 2: the value 1 is F(0) and F(1), which no magnitude splits
-        a, b = 2, 3
-        for i in range(2, 20_001):
+        for i, a, _ in islice(walk(), 2, top + 1):
             assert _index_by_magnitude(a) == i, i
-            a, b = b, a + b
 
 
 class TestIsConsecutiveFib:
@@ -324,12 +312,7 @@ class TestIsConsecutiveFib:
             is_consecutive_fib(1, 0)
 
     def test_matches_pair_set(self):
-        pairs = set()
-        a, b = 1, 1
-        while a <= 5_000:
-            pairs.add((a, b))
-            a, b = b, a + b
-        pairs.add((1, 2))
+        pairs = {(a, b) for _, a, b in walk(5_000)}
         for x in range(1, 5_001):
             successor = next((q for p, q in pairs if p == x and q != 1), None)
             ys = {1, x - 1, x, x + 1, 2 * x - 1, 2 * x, 2 * x + 1, 3 * x}

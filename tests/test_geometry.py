@@ -52,6 +52,13 @@ ORACLE_LIMIT_3 = "1.00187823286327658148009901196"
 ROUNDINGS = (ROUND_HALF_EVEN, ROUND_DOWN, ROUND_UP, ROUND_CEILING, ROUND_FLOOR,
              ROUND_HALF_UP, ROUND_HALF_DOWN, ROUND_05UP)
 
+# Past n = 50 * (digits + 10), 3,000 at 50 digits, the octagon takes F(n)/2
+# and F(n+2)/2 by Binet's formula; the gate cases meet both sides of that
+# switch and run to the largest index (about 10 s, almost all of it the
+# wide pass)
+SWITCH_AT_50 = geometry._BINET_FACTOR * (50 + 10)
+GATE_INDICES_AT_50 = (SWITCH_AT_50 - 1, SWITCH_AT_50, SWITCH_AT_50 + 1, 3 * 10**5, 999_998)
+
 
 def mp_decimal(x: mpmath.mpf, digits: int = 55) -> Decimal:
     return Decimal(mpmath.nstr(x, digits, strip_zeros=False))
@@ -447,11 +454,14 @@ class TestAgainstTheDecimalSqrtChain:
                         assert repr(octagon(n, cfg)) == repr(octagon_by_chain(n, cfg)), (
                             n, digits, rounding)
 
-    @pytest.mark.parametrize("digits", [15, 50, 1000])
-    def test_operands_longer_than_the_precision(self, digits):
+    @pytest.mark.parametrize("digits, n", [
+        *(pytest.param(digits, 100_000, id=str(digits)) for digits in (15, 50, 1000)),
+        *(pytest.param(50, n, marks=pytest.mark.gate) for n in GATE_INDICES_AT_50),
+    ])
+    def test_operands_longer_than_the_precision(self, digits, n):
         # F(10**5) has 20,899 digits: rounded on entry, not converted whole
         cfg = PrecisionConfig(digits)
-        assert repr(octagon(100_000, cfg)) == repr(octagon_by_chain(100_000, cfg))
+        assert repr(octagon(n, cfg)) == repr(octagon_by_chain(n, cfg))
 
 
 def deviations_by_wide_pass(n: int, cfg: PrecisionConfig) -> tuple[Decimal, Decimal, Decimal]:
@@ -509,10 +519,12 @@ class TestOctagonReport:
                         assert repr(octagon_deviations(n, cfg)) == repr(
                             deviations_by_wide_pass(n, cfg)), (n, digits, rounding)
 
-    def test_deviations_equal_the_wide_pass_at_a_hundred_thousand(self):
-        # the wide pass carries 41,858 digits here, the conjugate 60
+    @pytest.mark.parametrize(
+        "n", [100_000, *(pytest.param(n, marks=pytest.mark.gate) for n in GATE_INDICES_AT_50)])
+    def test_deviations_equal_the_wide_pass_at_fifty_digits(self, n):
+        # at 10**5 the wide pass carries 41,858 digits, the conjugate 60
         cfg = PrecisionConfig(50)
-        assert repr(octagon_deviations(100_000, cfg)) == repr(deviations_by_wide_pass(100_000, cfg))
+        assert repr(octagon_deviations(n, cfg)) == repr(deviations_by_wide_pass(n, cfg))
 
     def test_report_equals_the_three_public_calls(self):
         for digits in (15, 50, 200):

@@ -4,6 +4,7 @@ itself, of the octagon deviations against the wide pass, and of geometry's
 square root and halving of integers against decimal's own."""
 import sys
 from decimal import Decimal, localcontext
+from itertools import islice
 
 import pytest
 
@@ -19,6 +20,7 @@ from hippasus.geometry import (  # noqa: E402
     convergence_table,
     octagon_deviations,
 )
+from oracles import walk  # noqa: E402
 from test_geometry import ROUNDINGS, deviations_by_wide_pass  # noqa: E402
 
 
@@ -54,14 +56,12 @@ def convergence_at_uniform_precision(n_max: int, digits: int) -> list[tuple]:
     with localcontext() as ctx:
         ctx.prec = digits + 10 + 2 * len(str(fib(n_max)))
         golden = _golden()
-        a, b = 1, 1  # F(n), F(n+1)
-        for n in range(n_max + 1):
+        for n, a, b in islice(walk(), n_max + 1):
             ratio = Decimal(b) / Decimal(a)
             error = golden - ratio
             with localcontext() as out:
                 out.prec = digits
                 rows.append((n, +ratio, +error))
-            a, b = b, a + b
     return rows
 
 
@@ -174,7 +174,16 @@ def _sqrt_calls(x: Decimal) -> int:
     return spy.calls
 
 
-@pytest.mark.parametrize("prec", [60, 124, 201, 1000, 4217, 10**4])
+SQRT_PRECISIONS = (60, 124, 201, 1000, 4217, 10**4)
+
+
+# the gate cases: every precision from 25 to 400 (both sides of the size
+# constant, and the CLI's 60-, 86- and 124-digit roots), and 3*10**4 digits
+@pytest.mark.parametrize("prec", [
+    *SQRT_PRECISIONS,
+    *(pytest.param(prec, marks=pytest.mark.gate)
+      for prec in [*range(25, 401), 3 * 10**4] if prec not in SQRT_PRECISIONS),
+])
 def test_sqrt_falls_back_only_near_a_rounding_boundary(prec):
     # the start is one call and the fallback a second; a rounding test that
     # always fell back would pass every equality test above and cost 2-10

@@ -1,9 +1,10 @@
-"""What ``import hippasus`` and each CLI call load.
+"""What ``import hippasus``, each CLI call and the tests' oracles load.
 
 The package imports its integer core, ``fibonacci``, ``descent`` and
 ``wasteels``, at once; ``geometry`` (and with it ``decimal``) and ``table``
-load on the first use of one of their names.  The subprocess checks run
-under -S, so that nothing but hippasus itself can load a watched module.
+load on the first use of one of their names.  ``tests/oracles.py`` loads
+no part of the package.  The subprocess checks run under -S, so that
+nothing but the module imported can load a watched module.
 """
 import hashlib
 import os
@@ -118,3 +119,14 @@ def test_an_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="module 'hippasus' has no attribute 'no_such_name'"):
         hippasus.no_such_name
     assert not hasattr(hippasus, "no_such_name")
+
+
+def test_the_oracles_load_no_hippasus_module():
+    # the walk the tests compare with shares no code with the package,
+    # though hippasus is on the path
+    tests = str(Path(__file__).resolve().parent)
+    code = (f"import sys; sys.path.insert(0, {tests!r}); import oracles; "
+            "print(*(m for m in sys.modules if m.split('.')[0] == 'hippasus'))")
+    run = run_isolated("-c", code)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == []

@@ -28,6 +28,7 @@ from hippasus import (
     unique_successor,
 )
 from hippasus.geometry import ConvergenceRow, OctagonGeometry
+from oracles import walk
 
 CFG = PrecisionConfig(20)
 
@@ -306,10 +307,9 @@ def assert_is_the_record(value, expected):
 def test_successor_sets_are_the_records():
     expected = dict.fromkeys(range(1, 10**4 + 1), ())
     expected[1] = (1, 2)
-    a, b = 2, 3  # F(2), F(3): every member past 1 has its follower alone
-    while a <= 10**4:
-        expected[a] = (b,)
-        a, b = b, a + b
+    for i, a, b in walk(10**4):
+        if i >= 2:  # from F(2) = 2, every member has its follower alone
+            expected[a] = (b,)
     for beta, found in expected.items():
         assert_is_the_record(successors(beta), SuccessorSet(beta, found))
     before = sys.get_int_max_str_digits()
@@ -324,11 +324,7 @@ def test_successor_sets_are_the_records():
 
 
 def test_wasteels_verdicts_are_the_records():
-    indices = {(1, 1): (0, 1)}
-    i, a, b = 1, 1, 2  # F(i), F(i+1)
-    while a <= 200:
-        indices[a, b] = (i, i + 1)
-        i, a, b = i + 1, b, a + b
+    indices = {(a, b): (i, i + 1) for i, a, b in walk(200)}  # (F(i), F(i+1))
     for x in range(1, 201):
         for y in range(1, 201):
             found = indices.get((x, y))

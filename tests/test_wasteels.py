@@ -1,4 +1,5 @@
 import random
+from itertools import islice
 
 import pytest
 
@@ -6,6 +7,7 @@ from hippasus.descent import hippasus_residual
 from hippasus.fibonacci import fib, is_consecutive_fib
 from hippasus import fibonacci
 from hippasus.wasteels import classify, wasteels_residual
+from oracles import walk
 
 
 class TestResidual:
@@ -68,10 +70,8 @@ class TestClassify:
 
     def test_indices_of_every_pair_to_index_5000(self):
         # the index comes from x's magnitude, not a lookup; the pairs by addition
-        x, y = 1, 2
-        for i in range(1, 5001):
+        for i, x, y in islice(walk(), 1, 5001):
             assert classify(x, y).indices == (i, i + 1), i
-            x, y = y, x + y
 
     def test_makes_no_lookup(self, monkeypatch):
         # the +/-1 residual certifies the pair, so no doubling runs
