@@ -15,8 +15,9 @@ only; the package is whatever ``import hippasus`` finds.
 Start-up is probed in fresh interpreters, CLI_PROBES times each, round
 robin so that a slow spell of the host falls on every probe alike: ``python
 -c pass``, ``import hippasus`` and ``import hippasus.cli`` (the import alone,
-timed inside the child), and two ``python -m hippasus`` calls (wall time,
-first stdout line checked).  The children import a copy of the package's
+timed inside the child), and ``python -m hippasus`` calls of ``fib``,
+``check``, ``octagon``, ``table --max-beta 1000`` and the four ``verify``
+suites at their default bounds (wall time, first stdout line checked).  The children import a copy of the package's
 ``*.py`` in a temporary directory with PYTHONDONTWRITEBYTECODE=1, so every
 probe compiles the modules it imports, as a call does where no bytecode
 cache was ever written.
@@ -69,8 +70,20 @@ CLI_CALLS = {
     "python -c pass": (["-c", "pass"], ""),
     "import hippasus": (["-c", IMPORT_PROBE.format(module="hippasus")], None),
     "import hippasus.cli": (["-c", IMPORT_PROBE.format(module="hippasus.cli")], None),
+    "fib 30": (["-m", "hippasus", "fib", "30"], "1346269"),
     "check 55": (["-m", "hippasus", "check", "55"], "beta: 55"),
     "octagon --n 40": (["-m", "hippasus", "octagon", "--n", "40"], "n: 40"),
+    "table --max-beta 1000": (["-m", "hippasus", "table", "--max-beta", "1000"],
+                              "beta  alpha   sum   product  alpha_squared"),
+    # the four verify suites at their default bounds
+    "verify cassini": (["-m", "hippasus", "verify", "cassini"],
+                       "verify cassini: pass (i in 0..300)"),
+    "verify equivalence": (["-m", "hippasus", "verify", "equivalence"],
+                           "verify equivalence: pass (beta in 1..100000, 24 Fibonacci values)"),
+    "verify parity": (["-m", "hippasus", "verify", "parity"],
+                      "verify parity: pass (no exact solution for beta in 1..1000)"),
+    "verify convergence": (["-m", "hippasus", "verify", "convergence"],
+                           "verify convergence: pass (n in 1..60 at 50 digits)"),
 }
 
 # phi's octagon limits to 70 digits (mpmath at 80 digits), as in perfbench

@@ -8,30 +8,11 @@ the index, the Wasteels consecutive-pair criterion, and the golden-ratio
 geometry attached to the sequence (quotient convergence and the near-regular
 octagon built on Fibonacci-diameter circles).
 
-Importing the package loads the integer core only: ``fibonacci``,
-``descent`` and ``wasteels``.  The names of ``geometry`` (which loads
-``decimal``) and of ``table``, and those two submodules themselves, load on
-first use (PEP 562), so ``from hippasus import octagon`` works as before.
+Importing the package loads none of its submodules.  Each public name,
+and each submodule, loads on first use (PEP 562), so ``from hippasus import
+fib`` loads ``fibonacci`` alone and ``from hippasus import octagon`` loads
+``geometry`` (with ``decimal``) and what it imports.
 """
-from .descent import (
-    DescentTrace,
-    HippasusPair,
-    NotHippasusError,
-    SuccessorSet,
-    descend,
-    extend,
-    find_exact_solution,
-    hippasus_residual,
-    is_fibonacci_by_descent,
-    is_hippasus_pair,
-    predecessor,
-    successors,
-    unique_successor,
-    verify_no_exact_solution,
-)
-from .fibonacci import MAX_INDEX, cassini_residual, fib, fib_index_of, is_consecutive_fib
-from .wasteels import WasteelsVerdict, classify, wasteels_residual
-
 __version__ = "0.1.0"
 
 __all__ = [
@@ -76,6 +57,14 @@ __all__ = [
 
 # name -> the submodule that defines it, loaded on first use by __getattr__
 _DEFERRED = {
+    **dict.fromkeys(("fibonacci", "MAX_INDEX", "cassini_residual", "fib", "fib_index_of",
+                     "is_consecutive_fib"), "fibonacci"),
+    **dict.fromkeys(("descent", "DescentTrace", "HippasusPair", "NotHippasusError",
+                     "SuccessorSet", "descend", "extend", "find_exact_solution",
+                     "hippasus_residual", "is_fibonacci_by_descent", "is_hippasus_pair",
+                     "predecessor", "successors", "unique_successor",
+                     "verify_no_exact_solution"), "descent"),
+    **dict.fromkeys(("wasteels", "WasteelsVerdict", "classify", "wasteels_residual"), "wasteels"),
     **dict.fromkeys(("geometry", "ConvergenceRow", "OctagonGeometry", "PrecisionConfig",
                      "PrecisionTooLow", "convergence_table", "octagon", "octagon_limits", "phi"),
                     "geometry"),

@@ -10,11 +10,8 @@ import argparse
 import os
 import sys
 
-# geometry (and with it decimal) and table are imported inside the handlers
-# that use them, so that every other command starts without them
-from .descent import DescentTrace, descend, find_exact_solution, successors
-from .fibonacci import _decide, fib
-from .wasteels import classify
+# the library modules are imported inside the handlers that use them, so
+# that a call loads only its own command's modules and a usage error none
 
 
 def _int_at_least(minimum: int):
@@ -34,6 +31,8 @@ def _int_at_least(minimum: int):
 
 
 def _cmd_fib(args: argparse.Namespace) -> int:
+    from .fibonacci import fib
+
     print(fib(args.i))
     return 0
 
@@ -51,6 +50,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
+    from .fibonacci import _decide
+
     beta = args.beta
     decided = _decide(beta)
     print(f"beta: {beta}")
@@ -64,6 +65,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_descent(args: argparse.Namespace) -> int:
+    from .fibonacci import _decide
+
     decided = _decide(args.beta)
     if decided is None:
         print(f"not a Hippasus number: {args.beta}")
@@ -74,6 +77,8 @@ def _cmd_descent(args: argparse.Namespace) -> int:
 def _print_descent(beta: int, i: int, alpha: int) -> int:
     """The walk from beta = F(i), given _decide's certified (i, F(i+1)),
     which saves the trace its own doubling."""
+    from .descent import DescentTrace
+
     # one value at a time: the whole walk from F(10**4) is 10 MB of digits
     write = sys.stdout.write
     write("descent:")
@@ -84,6 +89,8 @@ def _print_descent(beta: int, i: int, alpha: int) -> int:
 
 
 def _cmd_wasteels(args: argparse.Namespace) -> int:
+    from .wasteels import classify
+
     verdict = classify(args.x, args.y)
     print(f"x: {verdict.x}")
     print(f"y: {verdict.y}")
@@ -146,6 +153,8 @@ def _verify_cassini(bound: int) -> int:
 
 
 def _verify_equivalence(bound: int) -> int:
+    from .descent import descend, successors
+
     # both routes against the sequence walk: F(i) is the next member at or
     # above beta and F(i + 1) its successor; at the end F(i) exceeds the
     # bound, so F(1), ..., F(i - 1) are the distinct members checked
@@ -170,6 +179,8 @@ def _verify_equivalence(bound: int) -> int:
 
 
 def _verify_parity(bound: int) -> int:
+    from .descent import find_exact_solution
+
     hit = find_exact_solution(bound)
     if hit is not None:
         print(f"verify parity: FAIL: beta={hit[0]}, alpha={hit[1]} solves beta*(beta+alpha)=alpha^2")
@@ -180,6 +191,7 @@ def _verify_parity(bound: int) -> int:
 
 def _verify_convergence(bound: int) -> int:
     from . import geometry
+    from .fibonacci import fib
 
     digits = max(50, geometry._digit_count(fib(bound)) + 15)
     rows = geometry._convergence_rows(bound, geometry.PrecisionConfig(digits=digits))

@@ -401,8 +401,9 @@ class TestVerify:
         # a run past the ceiling would take hours (10**12 betas of
         # equivalence: about two months); the refusal comes before the loop,
         # whose per-step calls here fail at once rather than run for hours
-        # (the cassini walk makes no call, so its whole runner fails)
-        from hippasus import cli, geometry
+        # (the cassini walk makes no call, so its whole runner fails); each
+        # runner imports its routes when it starts, so they are patched at home
+        from hippasus import cli, descent, geometry
 
         def loop_started(*args):
             raise AssertionError("the loop started")
@@ -410,7 +411,7 @@ class TestVerify:
         with monkeypatch.context() as patched:
             _, default, cap = cli.VERIFY_SUITES["cassini"]
             patched.setitem(cli.VERIFY_SUITES, "cassini", (loop_started, default, cap))
-            patched.setattr(cli, "descend", loop_started)
+            patched.setattr(descent, "descend", loop_started)
             patched.setattr(geometry, "_convergence_rows", loop_started)
             for bound in (ceiling + 1, 10**12):
                 t0 = time.perf_counter()
@@ -436,14 +437,14 @@ class TestVerify:
     def test_equivalence_names_the_route_that_disagrees(self, monkeypatch, capsys, route):
         # each route is checked against the sequence walk, not against the
         # other, so a wrong answer from either fails the suite by name
-        from hippasus import cli
+        from hippasus import cli, descent
 
-        right = getattr(cli, route)
+        right = getattr(descent, route)
 
         def wrong_at_89(beta):
             return right(90 if beta == 89 else beta)
 
-        monkeypatch.setattr(cli, route, wrong_at_89)
+        monkeypatch.setattr(descent, route, wrong_at_89)
         assert cli.main(["verify", "equivalence", "--bound", "100"]) == 1
         expected = {
             "descend": "descent index None, sequence 10",

@@ -1,10 +1,11 @@
 """What ``import hippasus``, each CLI call and the tests' oracles load.
 
-The package imports its integer core, ``fibonacci``, ``descent`` and
-``wasteels``, at once; ``geometry`` (and with it ``decimal``) and ``table``
-load on the first use of one of their names.  ``tests/oracles.py`` loads
-no part of the package.  The subprocess checks run under -S, so that
-nothing but the module imported can load a watched module.
+``import hippasus`` loads none of the package's submodules, and ``import
+hippasus.cli`` only the CLI: each public name, and each submodule, loads on
+first use.  A CLI call loads its own command's modules, and a call that
+argparse refuses loads none.  ``tests/oracles.py`` loads no part of the
+package.  The subprocess checks run under -S, so that nothing but the
+module imported can load a watched module.
 """
 import hashlib
 import os
@@ -18,16 +19,40 @@ import hippasus
 from test_cli import expand, manifest_calls
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
-DEFERRED = ("decimal", "hippasus.geometry", "hippasus.table")
+# every module the package loads on first use, and decimal, which geometry loads
+DEFERRED = ("decimal", "hippasus.descent", "hippasus.fibonacci", "hippasus.geometry",
+            "hippasus.table", "hippasus.wasteels")
+LOADED = f"' '.join(m for m in {DEFERRED!r} if m in sys.modules)"
 
 # ``python -m hippasus`` as -m runs it; at exit, one last stderr line names
 # the deferred modules the call loaded
 LAUNCH = f"""\
 import atexit, runpy, sys
-atexit.register(lambda: sys.stderr.write(
-    "\\n" + " ".join(m for m in {DEFERRED!r} if m in sys.modules)))
+atexit.register(lambda: sys.stderr.write("\\n" + {LOADED}))
 runpy._run_module_as_main("hippasus")
 """
+
+# what loading each home module loads, sorted
+FIBONACCI = ["hippasus.fibonacci"]
+DESCENT = ["hippasus.descent", "hippasus.fibonacci"]
+WASTEELS = ["hippasus.fibonacci", "hippasus.wasteels"]
+TABLE = ["hippasus.descent", "hippasus.fibonacci", "hippasus.table"]
+GEOMETRY = ["decimal", "hippasus.fibonacci", "hippasus.geometry"]
+
+# call -> (exit code, deferred modules it loads): its command's modules,
+# none of which is geometry, decimal or table
+INTEGER_CALLS = {
+    "fib 30": ("0", FIBONACCI),
+    "check 55": ("0", DESCENT),
+    "check 12": ("1", FIBONACCI),  # a non-member stops before the walk
+    "descent 13": ("0", DESCENT),
+    "wasteels 34 55": ("0", WASTEELS),
+    "verify cassini": ("0", []),
+    "verify equivalence --bound 100": ("0", DESCENT),
+    "verify parity": ("0", DESCENT),
+    "fib -3": ("2", []),  # argparse refuses the call
+    "table --max-beta 1000 --format yaml": ("2", []),
+}
 
 
 def run_isolated(*args: str) -> subprocess.CompletedProcess:
@@ -50,33 +75,40 @@ def launch(text: str) -> tuple[list[str], list[str]]:
 
 @pytest.mark.parametrize("module", ["hippasus", "hippasus.cli"])
 def test_import_loads_no_deferred_module(module):
-    code = f"import sys, {module}; print(*(m for m in {DEFERRED!r} if m in sys.modules))"
+    code = (f"import sys, {module}; "
+            "print(*(m for m in sys.modules if m == 'decimal' or m.startswith('hippasus.')))")
     run = run_isolated("-c", code)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.split() == []
+    assert run.stdout.split() == ([b"hippasus.cli"] if module == "hippasus.cli" else [])
 
 
 @pytest.mark.parametrize(
-    "text",
-    ["check 55", "fib 30", "wasteels 34 55", "verify equivalence --bound 100", "verify parity",
-     "fib -3", "table --max-beta 1000 --format yaml"],
+    "name, loads",
+    [("fib", FIBONACCI), ("classify", WASTEELS), ("descend", DESCENT), ("octagon", GEOMETRY),
+     ("build_rows", TABLE)],
 )
+def test_a_public_name_loads_its_home_and_what_that_imports(name, loads):
+    run = run_isolated("-c", f"import sys; from hippasus import {name}; print({LOADED})")
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.decode().split() == loads
+
+
+@pytest.mark.parametrize("text", INTEGER_CALLS)
 def test_integer_commands_load_no_deferred_module(text):
     (code, _, _), loaded = launch(text)
-    assert code == ("2" if text in ("fib -3", "table --max-beta 1000 --format yaml") else "0")
-    assert loaded == []
+    assert (code, loaded) == INTEGER_CALLS[text]
 
 
 @pytest.mark.parametrize(
     "text, loads",
     [
-        ("octagon --n 40 --digits 50", ["decimal", "hippasus.geometry"]),
-        ("octagon --n 0 --digits 10", ["decimal", "hippasus.geometry"]),  # exit 3
-        ("phi-convergence --n-max 5 --digits 20", ["decimal", "hippasus.geometry"]),
-        ("phi-convergence --n-max 500 --digits 20", ["decimal", "hippasus.geometry"]),  # exit 3
-        ("verify convergence", ["decimal", "hippasus.geometry"]),
-        ("table --max-beta 1000", ["hippasus.table"]),
-        ("table --max-beta 1000 --format json", ["hippasus.table"]),
+        ("octagon --n 40 --digits 50", GEOMETRY),
+        ("octagon --n 0 --digits 10", GEOMETRY),  # exit 3
+        ("phi-convergence --n-max 5 --digits 20", GEOMETRY),
+        ("phi-convergence --n-max 500 --digits 20", GEOMETRY),  # exit 3
+        ("verify convergence", GEOMETRY),
+        ("table --max-beta 1000", TABLE),
+        ("table --max-beta 1000 --format json", TABLE),
     ],
 )
 def test_deferred_commands_give_their_manifest_bytes(text, loads):
@@ -86,33 +118,42 @@ def test_deferred_commands_give_their_manifest_bytes(text, loads):
     assert loaded == loads
 
 
+SUBMODULES = ("descent", "fibonacci", "geometry", "table", "wasteels")
+
+
 def test_the_deferred_submodules_load_on_first_use():
     code = (
         "import sys, hippasus\n"
-        "before = [m for m in ('hippasus.geometry', 'hippasus.table') if m in sys.modules]\n"
-        "print(before, hippasus.geometry.__name__, hippasus.table.__name__)"
+        f"print({LOADED} or '-', *(getattr(hippasus, m).__name__ for m in {SUBMODULES!r}))"
     )
     run = run_isolated("-c", code)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.split() == [b"[]", b"hippasus.geometry", b"hippasus.table"]
+    assert run.stdout.decode().split() == ["-", *(f"hippasus.{m}" for m in SUBMODULES)]
 
 
 def test_every_public_name_resolves():
-    from hippasus import geometry, table
+    from hippasus import descent, fibonacci, geometry, table, wasteels
 
-    deferred = {
+    homes = {
+        fibonacci: ("MAX_INDEX", "cassini_residual", "fib", "fib_index_of", "is_consecutive_fib"),
+        descent: ("DescentTrace", "HippasusPair", "NotHippasusError", "SuccessorSet", "descend",
+                  "extend", "find_exact_solution", "hippasus_residual",
+                  "is_fibonacci_by_descent", "is_hippasus_pair", "predecessor", "successors",
+                  "unique_successor", "verify_no_exact_solution"),
+        wasteels: ("WasteelsVerdict", "classify", "wasteels_residual"),
         geometry: ("ConvergenceRow", "OctagonGeometry", "PrecisionConfig", "PrecisionTooLow",
                    "convergence_table", "octagon", "octagon_limits", "phi"),
         table: ("TableRow", "build_rows", "render", "render_aligned", "render_csv", "render_json"),
     }
-    for home, names in deferred.items():
-        assert set(names) <= set(hippasus.__all__)
+    assert sorted(name for names in homes.values() for name in names) == sorted(
+        set(hippasus.__all__) - {"__version__"})
+    for home, names in homes.items():
         assert all(getattr(hippasus, name) is getattr(home, name) for name in names)
     namespace = {}
     exec("from hippasus import *", namespace)
     assert set(hippasus.__all__) <= set(namespace)
     assert all(namespace[name] is getattr(hippasus, name) for name in hippasus.__all__)
-    assert set(hippasus.__all__) | {"geometry", "table"} <= set(dir(hippasus))
+    assert set(hippasus.__all__) | set(SUBMODULES) <= set(dir(hippasus))
 
 
 def test_an_unknown_name_raises_attribute_error():

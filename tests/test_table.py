@@ -3,7 +3,8 @@ import io
 import json
 import sys
 import time
-from itertools import zip_longest
+from collections.abc import Iterable, Iterator
+from itertools import chain, zip_longest
 from pathlib import Path
 
 import pytest
@@ -64,50 +65,74 @@ def rows_by_validated_walk(max_beta: int) -> list[TableRow]:
 FIELDS = ("beta", "alpha", "sum", "product", "sign", "alpha_squared")
 
 
-def aligned_by_cells(rows: list[TableRow]) -> str:
-    """Reference: every cell as a string, each width from the header and
-    every row's cell, then a second list of the padded lines."""
+# The references yield the text a line at a time: at 10**2200 the whole
+# text is 139 MB, and a list of its cells or lines would hold it again.
+
+
+def lines_of(chunks: Iterable[str]) -> Iterator[str]:
+    """The lines, each with its newline, of the text the chunks join to,
+    cut from each chunk in turn rather than split into a list."""
+    head = ""
+    for chunk in chunks:
+        start = 0
+        while end := chunk.find("\n", start) + 1:
+            yield head + chunk[start:end]
+            head, start = "", end
+        head += chunk[start:]
+    if head:
+        yield head
+
+
+def aligned_by_cells(rows: list[TableRow]) -> Iterator[str]:
+    """Reference: every cell as a string, each width the longest cell of
+    its column, header included, from one pass over the cell lengths; then
+    the padded lines."""
     headers = ("beta", "alpha", "sum", "product", "alpha_squared")
-    cells = [
-        (str(r.beta), str(r.alpha), str(r.sum), r.annotation, str(r.alpha_squared))
-        for r in rows
-    ]
-    widths = [
-        max(len(headers[c]), *(len(row[c]) for row in cells)) if cells else len(headers[c])
-        for c in range(len(headers))
-    ]
-    lines = ["  ".join(h.rjust(w) for h, w in zip(headers, widths))]
-    for row in cells:
-        lines.append("  ".join(v.rjust(w) for v, w in zip(row, widths)))
-    return "\n".join(lines) + "\n"
+
+    def cells(r: TableRow) -> tuple[str, ...]:
+        return (str(r.beta), str(r.alpha), str(r.sum), r.annotation, str(r.alpha_squared))
+
+    widths = [len(h) for h in headers]
+    for r in rows:
+        widths = [max(w, len(v)) for w, v in zip(widths, cells(r))]
+    yield "  ".join(h.rjust(w) for h, w in zip(headers, widths)) + "\n"
+    for r in rows:
+        yield "  ".join(v.rjust(w) for v, w in zip(cells(r), widths)) + "\n"
 
 
-def csv_by_writer(rows: list[TableRow]) -> str:
-    """Reference: the standard library's csv.writer into a StringIO."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(FIELDS)
-    writer.writerows([getattr(r, field) for field in FIELDS] for r in rows)
-    return buf.getvalue()
+class _Echo:
+    """A file whose write returns what it is given, so that csv.writer's
+    writerow returns the line."""
+
+    def write(self, text: str) -> str:
+        return text
 
 
-def json_by_getattr(rows: list[TableRow]) -> str:
-    """Reference: one dict of the fields, by name, for each row."""
+def csv_by_writer(rows: list[TableRow]) -> Iterator[str]:
+    """Reference: the standard library's csv.writer, a row at a time."""
+    writer = csv.writer(_Echo(), lineterminator="\n")
+    yield writer.writerow(FIELDS)
+    for r in rows:
+        yield writer.writerow([getattr(r, field) for field in FIELDS])
+
+
+def json_by_getattr(rows: list[TableRow]) -> Iterator[str]:
+    """Reference: one dict of the fields, by name, for each row, through the
+    standard library's encoder (the one ``json.dumps`` uses with an indent)."""
     payload = [{field: getattr(r, field) for field in FIELDS} for r in rows]
-    return json.dumps(payload, indent=2) + "\n"
+    return lines_of(chain(json.JSONEncoder(indent=2).iterencode(payload), ["\n"]))
 
 
 ORACLES = {"aligned": aligned_by_cells, "csv": csv_by_writer, "json": json_by_getattr}
 
 
-def first_difference(got: str, expected: str) -> tuple[int, str, str] | None:
-    """None if the texts are equal, else the first differing line's number
-    and both lines, cut to 200 characters: pytest's own diff of two
-    megabyte texts takes minutes."""
-    if got == expected:
-        return None
-    pairs = zip_longest(got.splitlines(True), expected.splitlines(True), fillvalue="")
-    return next((k, a[:200], b[:200]) for k, (a, b) in enumerate(pairs) if a != b)
+def first_difference(got: str, expected: Iterable[str]) -> tuple[int, str, str] | None:
+    """None if the text equals the expected lines joined, else the first
+    differing line's number and both lines, cut to 200 characters: pytest's
+    own diff of two megabyte texts takes minutes.  Both are walked a line
+    at a time."""
+    pairs = zip_longest(lines_of([got]), expected, fillvalue="")
+    return next(((k, a[:200], b[:200]) for k, (a, b) in enumerate(pairs) if a != b), None)
 
 
 @pytest.fixture(scope="module")
@@ -223,9 +248,8 @@ RENDERERS = {"aligned": render_aligned, "csv": render_csv, "json": render_json}
 @pytest.mark.parametrize("case", RENDER_CASES)
 def test_render_matches_oracle(case, fmt):
     rows = RENDER_CASES[case]()
-    expected = ORACLES[fmt](rows)
-    assert first_difference(RENDERERS[fmt](rows), expected) is None
-    assert first_difference(render(rows, fmt), expected) is None
+    assert first_difference(RENDERERS[fmt](rows), ORACLES[fmt](rows)) is None
+    assert first_difference(render(rows, fmt), ORACLES[fmt](rows)) is None
 
 
 @pytest.fixture(scope="module")
